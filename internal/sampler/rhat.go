@@ -17,27 +17,50 @@ package sampler
 //   - running Welford moments per (vertex, chain), numerically stable over
 //     any number of observations, behind the classic whole-chain statistic
 //     (At, Worst);
-//   - a bounded, evenly thinned observation buffer per (vertex, chain),
-//     behind the split statistic (SplitAt, WorstSplit — each retained
-//     chain series is split into halves, so a chain that wandered between
-//     two modes shows up even when the whole-chain means agree) and the
-//     per-vertex effective sample size (ESSAt, MinESS — Geyer
-//     initial-monotone autocorrelation sums on the retained series). The
-//     buffer holds at most a fixed number of observations per series; when
-//     it fills, every other retained observation is dropped and the
-//     retention stride doubles, so the retained series stays evenly spaced
-//     across the whole history and memory stays bounded no matter how long
-//     the run.
+//   - a bounded, evenly thinned observation buffer behind the split
+//     statistic (SplitAt, WorstSplit — each retained chain series is split
+//     into halves, so a chain that wandered between two modes shows up
+//     even when the whole-chain means agree) and the per-vertex effective
+//     sample size (ESSAt, MinESS — Geyer initial-monotone autocorrelation
+//     sums on the retained series). The buffer is time-major: one []int32
+//     row per retained observation, laid out like the lattice (cell v*B+c),
+//     so Observe copies the lattice into one contiguous row. Rows are
+//     allocated as the history first reaches them, up to the capacity; when
+//     the buffer fills, every other retained row is dropped by permuting
+//     row headers (the dropped rows are reused) and the retention stride
+//     doubles, so the retained series stays evenly spaced across the whole
+//     history and memory stays bounded no matter how long the run.
+//
+// The per-vertex statistics first gather vertex v's B×L block out of the
+// rows into a scratch small enough for L1 and then run the same
+// floating-point operations in the same order as a per-series evaluation
+// would, so every value is bit-identical to it: series means come from
+// exact integer sums (every partial sum of ≤ maxRetain int32 symbols is an
+// integer below 2⁵³, so it equals the serial float sum), each chain's
+// squared deviations accumulate in time order, centred values are computed
+// once per vertex, and one pass accumulates the Geyer lags k..k+3 with one
+// accumulator each, in (chain, time) order. The worst-vertex scans split
+// the vertices into contiguous blocks across goroutines; see scan for why
+// the answer is independent of the block count.
 
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+
+	"repro/internal/dist"
+	"repro/internal/state"
 )
 
-// DefaultRetain is the per-(vertex, chain) observation-buffer capacity:
-// enough resolution for the split and autocorrelation statistics while
-// keeping the buffer a few bytes per cell even on large instances.
+// DefaultRetain is the observation-buffer capacity: enough resolution for
+// the split and autocorrelation statistics. The buffer costs 4·n·B bytes
+// per retained observation, so at most 1 KiB per (vertex, chain) cell.
 const DefaultRetain = 256
+
+// maxRetain bounds the capacity so that every integer sum of a retained
+// int32 series is exact in float64 (2²² · 2³¹ = 2⁵³).
+const maxRetain = 1 << 22
 
 // Rhat accumulates per-(vertex, chain) observation statistics of a
 // multi-chain engine's state and reports the Gelman–Rubin statistic
@@ -47,25 +70,51 @@ const DefaultRetain = 256
 type Rhat struct {
 	m     MultiChain
 	n     int
+	b     int
 	count int
 	// mean and m2 are chain-major like the lattice: entry v*B+c carries
 	// chain c's running mean / centered second moment at vertex v.
 	mean []float64
 	m2   []float64
 
-	// obs is the thinned observation buffer: series (v, c) occupies
-	// obs[(v*B+c)*retain : (v*B+c)*retain+rlen], evenly spaced every
-	// `stride` observations across the history, most recent last.
-	obs    []int32
+	// rows is the thinned observation buffer, oldest first: rows[i][v*B+c]
+	// is chain c's symbol at vertex v in the i-th retained observation,
+	// evenly spaced every `stride` observations across the history. rows
+	// grows to at most `retain` entries; only rows[:rlen] hold retained
+	// observations, the rest are spares awaiting reuse.
+	rows   [][]int32
 	retain int
 	rlen   int
 	stride int
 	skip   int
 
-	// seqMean/seqVar are the 2B-sequence scratch of the split statistic,
-	// reused across vertices so Worst-style sweeps do not allocate.
-	seqMean []float64
-	seqVar  []float64
+	// scr holds one scratch per scan block (scr[0] also serves the
+	// single-vertex calls); picks holds each block's winner.
+	scr   []scratch
+	picks []pick
+}
+
+// scratch is one goroutine's per-vertex working set.
+type scratch struct {
+	// blk is the gathered B×L block of one vertex, time-major like the rows
+	// (blk[t*B+c]); cen holds the same block centred on each chain's mean,
+	// chain-major with stride L+lagPad and zero padding (cen[c*(L+lagPad)+t]).
+	blk []int32
+	cen []float64
+	// sums, mean and dev are per-chain moments of one block (see moments);
+	// seqMean/seqVar are the 2B split-sequence moments.
+	sums      []int64
+	mean, dev []float64
+	seqMean   []float64
+	seqVar    []float64
+	// touch keeps gather's prefetching loads from being optimized away.
+	touch int32
+}
+
+// pick is a scan block's winning vertex and value.
+type pick struct {
+	v int
+	x float64
 }
 
 // NewRhat returns an empty accumulator for the multi-chain engine with the
@@ -75,55 +124,47 @@ func NewRhat(m MultiChain) (*Rhat, error) { return NewRhatRetain(m, DefaultRetai
 
 // NewRhatRetain returns an empty accumulator retaining at most `retain`
 // thinned observations per (vertex, chain) series. retain must be an even
-// number ≥ 8 (thinning halves the buffer in place).
+// number in [8, 2²²] (thinning halves the buffer in place; the bound keeps
+// series sums exact).
 func NewRhatRetain(m MultiChain, retain int) (*Rhat, error) {
 	if m.Chains() < 2 {
 		return nil, fmt.Errorf("sampler: Gelman–Rubin needs ≥ 2 chains, engine has %d", m.Chains())
 	}
-	if retain < 8 || retain%2 != 0 {
-		return nil, fmt.Errorf("sampler: observation buffer capacity must be an even number ≥ 8, got %d", retain)
+	if retain < 8 || retain%2 != 0 || retain > maxRetain {
+		return nil, fmt.Errorf("sampler: observation buffer capacity must be an even number in [8, %d], got %d", maxRetain, retain)
 	}
 	n := m.Lattice().N()
 	B := m.Chains()
 	return &Rhat{
-		m:       m,
-		n:       n,
-		mean:    make([]float64, n*B),
-		m2:      make([]float64, n*B),
-		obs:     make([]int32, n*B*retain),
-		retain:  retain,
-		stride:  1,
-		seqMean: make([]float64, 2*B),
-		seqVar:  make([]float64, 2*B),
+		m:      m,
+		n:      n,
+		b:      B,
+		mean:   make([]float64, n*B),
+		m2:     make([]float64, n*B),
+		rows:   make([][]int32, 0, retain),
+		retain: retain,
+		stride: 1,
 	}, nil
 }
-
-// NewRhat returns an empty accumulator for the batch (the MultiChain
-// accumulator specialized to the chromatic engine, kept for callers that
-// hold a concrete *Batch).
-func (b *Batch) NewRhat() (*Rhat, error) { return NewRhat(b) }
 
 // Observe folds the engine's current state into the running moments and,
 // on retention strides, into the observation buffer. Call it between Run
 // chunks (e.g. once per sweep-equivalent).
 func (r *Rhat) Observe() {
 	r.count++
-	B := r.m.Chains()
-	lat := r.m.Lattice()
 	keep := r.skip == 0
-	for v := 0; v < r.n; v++ {
-		row := r.mean[v*B : (v+1)*B]
-		m2 := r.m2[v*B : (v+1)*B]
-		for c := 0; c < B; c++ {
-			x := lat.Get(v, c)
-			xf := float64(x)
-			d := xf - row[c]
-			row[c] += d / float64(r.count)
-			m2[c] += d * (xf - row[c])
-			if keep {
-				r.obs[(v*B+c)*r.retain+r.rlen] = int32(x)
-			}
+	var row []int32
+	if keep {
+		if r.rlen == len(r.rows) {
+			r.rows = append(r.rows, make([]int32, r.n*r.b))
 		}
+		row = r.rows[r.rlen]
+	}
+	lat := r.m.Lattice()
+	if lat.Compact() {
+		fold(lat.Raw8(), true, r.mean, r.m2, row, float64(r.count))
+	} else {
+		fold(lat.RawWide(), false, r.mean, r.m2, row, float64(r.count))
 	}
 	if !keep {
 		r.skip--
@@ -131,20 +172,43 @@ func (r *Rhat) Observe() {
 	}
 	r.rlen++
 	if r.rlen == r.retain {
-		// Thin: keep every other retained observation (the most recent one
-		// stays retained), double the stride. The retained set remains the
-		// multiples of the stride, so the series stays evenly spaced.
+		// Thin: keep every other retained row (the most recent one stays
+		// retained), double the stride. The retained set remains the
+		// multiples of the stride, so the series stays evenly spaced. The
+		// swaps only permute headers: rows[i] takes rows[2i+1], which no
+		// earlier swap has touched, and the dropped rows become spares.
 		half := r.retain / 2
-		for s := 0; s < r.n*B; s++ {
-			row := r.obs[s*r.retain : (s+1)*r.retain]
-			for i := 0; i < half; i++ {
-				row[i] = row[2*i+1]
-			}
+		for i := 0; i < half; i++ {
+			r.rows[i], r.rows[2*i+1] = r.rows[2*i+1], r.rows[i]
 		}
 		r.rlen = half
 		r.stride *= 2
 	}
 	r.skip = r.stride - 1
+}
+
+// fold adds one observation of every cell to the Welford moments and, when
+// row is non-nil, stores it there. compact marks uint8 cells, whose 0xFF
+// is the Unset sentinel.
+func fold[T state.Cells](cells []T, compact bool, mean, m2 []float64, row []int32, count float64) {
+	mean = mean[:len(cells)]
+	m2 = m2[:len(cells)]
+	if row != nil {
+		row = row[:len(cells)]
+	}
+	for i, cell := range cells {
+		x := int(cell)
+		if compact && x == 0xFF {
+			x = dist.Unset
+		}
+		xf := float64(x)
+		d := xf - mean[i]
+		mean[i] += d / count
+		m2[i] += d * (xf - mean[i])
+		if row != nil {
+			row[i] = int32(x)
+		}
+	}
 }
 
 // Count returns the number of observations folded in so far.
@@ -158,11 +222,90 @@ func (r *Rhat) Retained() (length, stride int) { return r.rlen, r.stride }
 // split statistic and the effective sample size (≥ 4 retained).
 func (r *Rhat) SplitReady() bool { return r.rlen >= 4 }
 
-// series returns the retained observation series of (v, c).
-func (r *Rhat) series(v, c int) []int32 {
-	B := r.m.Chains()
-	off := (v*B + c) * r.retain
-	return r.obs[off : off+r.rlen]
+func (r *Rhat) needObs() error {
+	if r.count < 2 {
+		return fmt.Errorf("sampler: Gelman–Rubin needs ≥ 2 observations, have %d", r.count)
+	}
+	return nil
+}
+
+func (r *Rhat) needRetained(stat string) error {
+	if !r.SplitReady() {
+		return fmt.Errorf("sampler: %s needs ≥ 4 retained observations, have %d", stat, r.rlen)
+	}
+	return nil
+}
+
+// lagPad is the zero padding after each centred series: one Geyer pass
+// reads up to three entries past the end.
+const lagPad = 3
+
+// scratchFor returns the i-th scratch, growing the set as needed.
+func (r *Rhat) scratchFor(i int) *scratch {
+	B := r.b
+	for len(r.scr) <= i {
+		r.scr = append(r.scr, scratch{
+			blk:     make([]int32, B*r.retain),
+			cen:     make([]float64, B*(r.retain+lagPad)),
+			sums:    make([]int64, B),
+			mean:    make([]float64, B),
+			dev:     make([]float64, B),
+			seqMean: make([]float64, 2*B),
+			seqVar:  make([]float64, 2*B),
+		})
+	}
+	return &r.scr[i]
+}
+
+// gather copies vertex v's retained B×L block into the scratch,
+// time-major, and returns it.
+func (r *Rhat) gather(sc *scratch, v int) []int32 {
+	B, L := r.b, r.rlen
+	blk := sc.blk[:B*L]
+	off := v * B
+	// Each row contributes one cache line to the block, and the rows lie
+	// far apart. Touching every line first, with a loop too light to fill
+	// the reorder window, keeps many misses in flight at once; the copy
+	// loop below then hits L1.
+	var touch int32
+	for _, row := range r.rows[:L] {
+		touch += row[off]
+	}
+	sc.touch += touch
+	for t, row := range r.rows[:L] {
+		copy(blk[t*B:(t+1)*B], row[off:off+B])
+	}
+	return blk
+}
+
+// moments sets, for each chain c of the time-major block blk (blk[t*B+c],
+// B chains), mean[c] to the chain's mean and dev[c] to its sum of squared
+// deviations from that mean. The mean comes from the exact integer sum, so
+// it equals the serial float sum's; each dev[c] accumulates in time order,
+// as a per-series loop would. When cen is non-nil, the centred values are
+// also stored chain-major: cen[c*stride+t].
+func moments(blk []int32, B int, sums []int64, mean, dev, cen []float64, stride int) {
+	sums, mean, dev = sums[:B], mean[:B], dev[:B]
+	clear(sums)
+	for t := 0; t < len(blk); t += B {
+		for c, x := range blk[t : t+B] {
+			sums[c] += int64(x)
+		}
+	}
+	n := float64(len(blk) / B)
+	for c := range mean {
+		mean[c] = float64(sums[c]) / n
+		dev[c] = 0
+	}
+	for t, i := 0, 0; t < len(blk); t, i = t+B, i+1 {
+		for c, x := range blk[t : t+B] {
+			d := float64(x) - mean[c]
+			dev[c] += d * d
+			if cen != nil {
+				cen[c*stride+i] = d
+			}
+		}
+	}
 }
 
 // At returns the classic whole-chain Gelman–Rubin statistic of vertex v
@@ -171,10 +314,14 @@ func (r *Rhat) series(v, c int) []int32 {
 // within-chain variance with disagreeing chains reports +Inf. At least two
 // observations are required.
 func (r *Rhat) At(v int) (float64, error) {
-	if r.count < 2 {
-		return 0, fmt.Errorf("sampler: Gelman–Rubin needs ≥ 2 observations, have %d", r.count)
+	if err := r.needObs(); err != nil {
+		return 0, err
 	}
-	B := r.m.Chains()
+	return r.at(nil, v), nil
+}
+
+func (r *Rhat) at(_ *scratch, v int) float64 {
+	B := r.b
 	T := float64(r.count)
 	means := r.mean[v*B : (v+1)*B]
 	m2 := r.m2[v*B : (v+1)*B]
@@ -193,12 +340,12 @@ func (r *Rhat) At(v int) (float64, error) {
 	between = between * T / float64(B-1)
 	if within == 0 {
 		if between == 0 {
-			return 1, nil
+			return 1
 		}
-		return math.Inf(1), nil
+		return math.Inf(1)
 	}
 	varPlus := (T-1)/T*within + between/T
-	return math.Sqrt(varPlus / within), nil
+	return math.Sqrt(varPlus / within)
 }
 
 // SplitAt returns the split Gelman–Rubin statistic of vertex v: every
@@ -209,50 +356,48 @@ func (r *Rhat) At(v int) (float64, error) {
 // all-constant sequences report exactly 1, zero within-sequence variance
 // with disagreeing sequences reports +Inf. SplitReady must hold.
 func (r *Rhat) SplitAt(v int) (float64, error) {
-	if !r.SplitReady() {
-		return 0, fmt.Errorf("sampler: split R̂ needs ≥ 4 retained observations, have %d", r.rlen)
+	if err := r.needRetained("split R̂"); err != nil {
+		return 0, err
 	}
-	B := r.m.Chains()
-	m := r.rlen / 2
+	return r.split(r.scratchFor(0), v), nil
+}
+
+func (r *Rhat) split(sc *scratch, v int) float64 {
+	B, L := r.b, r.rlen
+	blk := r.gather(sc, v)
+	m := L / 2
 	mf := float64(m)
 	nseq := 2 * B
-	grand := 0.0
-	for c := 0; c < B; c++ {
-		s := r.series(v, c)
-		halves := [2][]int32{s[:m], s[len(s)-m:]}
-		for h, seq := range halves {
-			sum := 0.0
-			for _, x := range seq {
-				sum += float64(x)
-			}
-			mean := sum / mf
-			vsum := 0.0
-			for _, x := range seq {
-				d := float64(x) - mean
-				vsum += d * d
-			}
-			r.seqMean[2*c+h] = mean
-			r.seqVar[2*c+h] = vsum / (mf - 1)
-			grand += mean
+	// Sequence 2c+h is chain c's first (h = 0) or last (h = 1) m retained
+	// observations.
+	for h, lo := range [2]int{0, L - m} {
+		moments(blk[lo*B:(lo+m)*B], B, sc.sums, sc.mean, sc.dev, nil, 0)
+		for c := 0; c < B; c++ {
+			sc.seqMean[2*c+h] = sc.mean[c]
+			sc.seqVar[2*c+h] = sc.dev[c] / (mf - 1)
 		}
+	}
+	grand := 0.0
+	for _, mean := range sc.seqMean[:nseq] {
+		grand += mean
 	}
 	grand /= float64(nseq)
 	within, between := 0.0, 0.0
 	for i := 0; i < nseq; i++ {
-		within += r.seqVar[i]
-		d := r.seqMean[i] - grand
+		within += sc.seqVar[i]
+		d := sc.seqMean[i] - grand
 		between += d * d
 	}
 	within /= float64(nseq)
 	between = between * mf / float64(nseq-1)
 	if within == 0 {
 		if between == 0 {
-			return 1, nil
+			return 1
 		}
-		return math.Inf(1), nil
+		return math.Inf(1)
 	}
 	varPlus := (mf-1)/mf*within + between/mf
-	return math.Sqrt(varPlus / within), nil
+	return math.Sqrt(varPlus / within)
 }
 
 // ESSAt returns the effective sample size of vertex v pooled across
@@ -267,30 +412,25 @@ func (r *Rhat) SplitAt(v int) (float64, error) {
 // every chain) is perfectly estimated and reports the full pooled count
 // B·Count. SplitReady must hold.
 func (r *Rhat) ESSAt(v int) (float64, error) {
-	if !r.SplitReady() {
-		return 0, fmt.Errorf("sampler: ESS needs ≥ 4 retained observations, have %d", r.rlen)
+	if err := r.needRetained("ESS"); err != nil {
+		return 0, err
 	}
-	B := r.m.Chains()
-	L := r.rlen
+	return r.ess(r.scratchFor(0), v), nil
+}
+
+func (r *Rhat) ess(sc *scratch, v int) float64 {
+	B, L := r.b, r.rlen
 	Lf := float64(L)
+	S := L + lagPad
 	total := float64(B) * float64(r.count)
-	means := r.seqMean[:B]
+	cen := sc.cen[:B*S]
+	moments(r.gather(sc, v), B, sc.sums, sc.mean, sc.dev, cen, S)
+	means := sc.mean[:B]
 	grand, W := 0.0, 0.0
 	for c := 0; c < B; c++ {
-		s := r.series(v, c)
-		sum := 0.0
-		for _, x := range s {
-			sum += float64(x)
-		}
-		mean := sum / Lf
-		means[c] = mean
-		grand += mean
-		vsum := 0.0
-		for _, x := range s {
-			d := float64(x) - mean
-			vsum += d * d
-		}
-		W += vsum / (Lf - 1)
+		grand += means[c]
+		W += sc.dev[c] / (Lf - 1)
+		clear(cen[c*S+L : (c+1)*S])
 	}
 	grand /= float64(B)
 	W /= float64(B)
@@ -303,71 +443,86 @@ func (r *Rhat) ESSAt(v int) (float64, error) {
 	varPlus := (Lf-1)/Lf*W + between
 	if varPlus == 0 {
 		// Frozen everywhere: the constant is known exactly.
-		return total, nil
+		return total
 	}
 	if W == 0 {
 		// Chains frozen apart: no amount of further observation helps.
-		return 0, nil
+		return 0
 	}
-	// gamma(l): within-chain autocovariance at lag l, averaged over chains
-	// (biased 1/L scaling, per the standard estimator).
-	gamma := func(l int) float64 {
-		s := 0.0
-		for c := 0; c < B; c++ {
-			series := r.series(v, c)
-			mc := means[c]
-			for t := 0; t+l < L; t++ {
-				s += (float64(series[t]) - mc) * (float64(series[t+l]) - mc)
-			}
-		}
-		return s / (float64(B) * Lf)
-	}
-	rho := func(l int) float64 { return 1 - (W-gamma(l))/varPlus }
 	// Geyer: sum lag-pair autocorrelations while the pair sums stay
-	// non-negative, enforcing monotone non-increase.
+	// non-negative, enforcing monotone non-increase. rho turns a lag's
+	// within-chain autocovariance sum over chains (biased 1/L scaling, per
+	// the standard estimator) into its multi-chain autocorrelation.
+	norm := float64(B) * Lf
+	rho := func(g float64) float64 { return 1 - (W-g/norm)/varPlus }
 	sum, prev := 0.0, math.Inf(1)
-	for k := 1; k+1 < L; k += 2 {
-		p := rho(k) + rho(k+1)
-		if p < 0 {
-			break
+geyer:
+	for k := 1; k+1 < L; k += 4 {
+		g := lagSums(cen, B, S, L, k)
+		for j := 0; j < 4 && k+j+1 < L; j += 2 {
+			p := rho(g[j]) + rho(g[j+1])
+			if p < 0 {
+				break geyer
+			}
+			if p > prev {
+				p = prev
+			}
+			prev = p
+			sum += p
 		}
-		if p > prev {
-			p = prev
-		}
-		prev = p
-		sum += p
 	}
 	tau := 1 + 2*sum
 	ess := float64(B) * float64(r.stride*L) / tau
-	return math.Min(ess, total), nil
+	return math.Min(ess, total)
+}
+
+// lagSums returns the autocovariance sums Σ_c Σ_t cen[c][t]·cen[c][t+l] at
+// the four lags l = k..k+3 of B centred series of length L stored with
+// stride S ≥ L+3, each accumulated in (chain, time) order over t < L−l.
+// The four sums are independent, so one pass costs little more than one
+// lag. Every pass runs t up to L−k−1; the terms past a series' end read the
+// zero padding and add exactly nothing (a sum starting at +0 never becomes
+// −0, and adding ±0 leaves any other value unchanged), so each result is
+// bit for bit the sum over its own range.
+func lagSums(cen []float64, B, S, L, k int) [4]float64 {
+	var g0, g1, g2, g3 float64
+	for c := 0; c < B; c++ {
+		d := cen[c*S : (c+1)*S]
+		a := d[:L-k]
+		b0, b1, b2, b3 := d[k:][:len(a)], d[k+1:][:len(a)], d[k+2:][:len(a)], d[k+3:][:len(a)]
+		for t, x := range a {
+			g0 += x * b0[t]
+			g1 += x * b1[t]
+			g2 += x * b2[t]
+			g3 += x * b3[t]
+		}
+	}
+	return [4]float64{g0, g1, g2, g3}
 }
 
 // Worst returns the vertex with the largest whole-chain R̂ and its value.
 func (r *Rhat) Worst() (v int, rhat float64, err error) {
-	return r.worstOf(r.At)
+	if r.n == 0 {
+		return 0, 1, nil
+	}
+	if err := r.needObs(); err != nil {
+		return 0, 0, err
+	}
+	v, rhat = r.scan((*Rhat).at, true)
+	return v, rhat, nil
 }
 
 // WorstSplit returns the vertex with the largest split R̂ and its value —
 // the headline convergence number of the adaptive driver (all chains
 // converged ⇒ every vertex near 1).
 func (r *Rhat) WorstSplit() (v int, rhat float64, err error) {
-	return r.worstOf(r.SplitAt)
-}
-
-func (r *Rhat) worstOf(at func(int) (float64, error)) (v int, rhat float64, err error) {
 	if r.n == 0 {
 		return 0, 1, nil
 	}
-	v, rhat = -1, math.Inf(-1)
-	for u := 0; u < r.n; u++ {
-		x, aerr := at(u)
-		if aerr != nil {
-			return 0, 0, aerr
-		}
-		if x > rhat {
-			v, rhat = u, x
-		}
+	if err := r.needRetained("split R̂"); err != nil {
+		return 0, 0, err
 	}
+	v, rhat = r.scan((*Rhat).split, true)
 	return v, rhat, nil
 }
 
@@ -376,17 +531,66 @@ func (r *Rhat) worstOf(at func(int) (float64, error)) (v int, rhat float64, err 
 // reports the full pooled count.
 func (r *Rhat) MinESS() (v int, ess float64, err error) {
 	if r.n == 0 {
-		return 0, float64(r.m.Chains()) * float64(r.count), nil
+		return 0, float64(r.b) * float64(r.count), nil
 	}
-	v, ess = -1, math.Inf(1)
-	for u := 0; u < r.n; u++ {
-		x, aerr := r.ESSAt(u)
-		if aerr != nil {
-			return 0, 0, aerr
-		}
-		if x < ess {
-			v, ess = u, x
-		}
+	if err := r.needRetained("ESS"); err != nil {
+		return 0, 0, err
 	}
+	v, ess = r.scan((*Rhat).ess, false)
 	return v, ess, nil
+}
+
+// scan evaluates stat at every vertex and returns the first vertex whose
+// value strictly beats every earlier one (the largest when largest is set,
+// else the smallest) with that value — a serial scan's answer; NaN values
+// never win, and a scan where nothing wins reports vertex −1. The vertices
+// are split into min(GOMAXPROCS, n) contiguous blocks scanned
+// concurrently, each with its own scratch. Every block reports its own
+// first winner, and merging those in vertex order with the same strict
+// comparison picks the first block holding the overall winner, so the
+// result is exactly the serial one whatever the block count.
+func (r *Rhat) scan(stat func(*Rhat, *scratch, int) float64, largest bool) (int, float64) {
+	w := min(runtime.GOMAXPROCS(0), r.n)
+	r.scratchFor(w - 1)
+	if len(r.picks) < w {
+		r.picks = make([]pick, w)
+	}
+	picks := r.picks[:w]
+	block := func(i int) {
+		sc := &r.scr[i]
+		best := pick{-1, math.Inf(-1)}
+		if !largest {
+			best.x = math.Inf(1)
+		}
+		for v := i * r.n / w; v < (i+1)*r.n/w; v++ {
+			if x := stat(r, sc, v); beats(x, best.x, largest) {
+				best = pick{v, x}
+			}
+		}
+		picks[i] = best
+	}
+	var wg sync.WaitGroup
+	for i := 1; i < w; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			block(i)
+		}()
+	}
+	block(0)
+	wg.Wait()
+	best := picks[0]
+	for _, p := range picks[1:] {
+		if beats(p.x, best.x, largest) {
+			best = p
+		}
+	}
+	return best.v, best.x
+}
+
+func beats(x, best float64, largest bool) bool {
+	if largest {
+		return x > best
+	}
+	return x < best
 }

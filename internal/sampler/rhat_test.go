@@ -1,11 +1,14 @@
 package sampler
 
-// rhat_test.go: the Gelman–Rubin accumulator against hand-computed values
-// and against its qualitative contract — near 1 on well-mixed chains,
-// large when chains are frozen apart.
+// rhat_test.go: the Gelman–Rubin accumulator against hand-computed values,
+// against its qualitative contract — near 1 on well-mixed chains, large
+// when chains are frozen apart — and bit for bit against the per-series
+// oracle of rhat_oracle_test.go.
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/dist"
@@ -13,6 +16,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/psample"
+	"repro/internal/state"
 )
 
 func rhatBatch(t *testing.T, spec *gibbs.Spec, pin dist.Config, B int, seed int64) *Batch {
@@ -40,7 +44,7 @@ func TestRhatHandComputed(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := rhatBatch(t, spec, nil, 2, 1)
-	acc, err := b.NewRhat()
+	acc, err := NewRhat(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +99,7 @@ func TestRhatConvergedNearOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := rhatBatch(t, spec, nil, 8, 3)
-	acc, err := b.NewRhat()
+	acc, err := NewRhat(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +126,7 @@ func TestRhatFrozenChainsDiverge(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := rhatBatch(t, spec, nil, 2, 1)
-	acc, err := b.NewRhat()
+	acc, err := NewRhat(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +151,7 @@ func TestRhatNeedsTwoChains(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := rhatBatch(t, spec, nil, 1, 1)
-	if _, err := b.NewRhat(); err == nil {
+	if _, err := NewRhat(b); err == nil {
 		t.Error("single-chain R̂ accepted")
 	}
 }
@@ -162,7 +166,7 @@ func TestRhatPinnedVertexIsOne(t *testing.T) {
 	pin := dist.NewConfig(6)
 	pin[3] = model.Out
 	b := rhatBatch(t, spec, pin, 4, 7)
-	acc, err := b.NewRhat()
+	acc, err := NewRhat(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,4 +182,204 @@ func TestRhatPinnedVertexIsOne(t *testing.T) {
 	if acc.Count() != 20 {
 		t.Errorf("Count() = %d, want 20", acc.Count())
 	}
+}
+
+// fabricated is a MultiChain whose only live surface is a lattice the test
+// writes directly — all the accumulator reads. The embedded nil interface
+// panics if anything else is called.
+type fabricated struct {
+	MultiChain
+	lat *state.Lattice
+}
+
+func (f fabricated) Chains() int             { return f.lat.Chains() }
+func (f fabricated) Lattice() *state.Lattice { return f.lat }
+
+// sameStat fails unless the two (value, error) results agree exactly:
+// identical float bits, or errors with identical messages.
+func sameStat(t *testing.T, what string, got, want float64, gerr, werr error) {
+	t.Helper()
+	if (gerr == nil) != (werr == nil) || gerr != nil && gerr.Error() != werr.Error() {
+		t.Fatalf("%s: error %v, oracle %v", what, gerr, werr)
+	}
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%s = %v, oracle %v", what, got, want)
+	}
+}
+
+// TestRhatMatchesOracle replays fabricated histories through the
+// time-major accumulator and the per-series oracle side by side and
+// requires every statistic, vertex and error to agree bit for bit after
+// every observation — so both parities of the retained length, every
+// thinning step (capacity 8 thins three times in 45 observations) and the
+// scans at several block counts are covered. Past one vertex, vertex 0 is
+// pinned (ESS is the pooled count, split R̂ exactly 1); past two, vertices
+// 1 and n−1 are frozen apart (ESS 0, split R̂ +Inf, tied across scan
+// blocks) and chain 0 of vertex 2 stays Unset; every other cell flips with
+// probability 0.3 per observation. The wide lattice draws symbols up to
+// 299, so 255 must read as a symbol there, not as the compact Unset.
+func TestRhatMatchesOracle(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, B := range []int{2, 3, 16} {
+		for _, n := range []int{1, 2, 37} {
+			for _, wide := range []bool{false, true} {
+				for _, retain := range []int{8, DefaultRetain} {
+					name := fmt.Sprintf("B%d/n%d/wide=%v/retain%d", B, n, wide, retain)
+					t.Run(name, func(t *testing.T) {
+						checkAgainstOracle(t, B, n, wide, retain)
+					})
+				}
+			}
+		}
+	}
+}
+
+func checkAgainstOracle(t *testing.T, B, n int, wide bool, retain int) {
+	q, newLat := 5, state.NewCompact
+	if wide {
+		q, newLat = 300, state.NewWide
+	}
+	lat, err := newLat(n, B, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := fabricated{lat: lat}
+	got, err := NewRhatRetain(m, retain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := newOracleRhat(m, retain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := dist.NewXoshiro(int64(1000*B+10*n+retain), 0)
+	pinned := func(v int) bool { return n > 1 && v == 0 }
+	frozen := func(v int) bool { return n > 2 && (v == 1 || v == n-1) }
+	unset := func(v, c int) bool { return n > 2 && v == 2 && c == 0 }
+	for v := 0; v < n; v++ {
+		for c := 0; c < B; c++ {
+			switch {
+			case pinned(v):
+				lat.Set(v, c, 1)
+			case frozen(v):
+				lat.Set(v, c, c%q)
+			case unset(v, c):
+			default:
+				lat.Set(v, c, int(rng.Uint64()%uint64(q)))
+			}
+		}
+	}
+	procs := []int{1, 2, 3, 8}
+	for i := 0; i < 45; i++ {
+		for v := 0; v < n; v++ {
+			for c := 0; c < B; c++ {
+				if !pinned(v) && !frozen(v) && !unset(v, c) && rng.Uint64()%10 < 3 {
+					lat.Set(v, c, int(rng.Uint64()%uint64(q)))
+				}
+			}
+		}
+		got.Observe()
+		want.Observe()
+		if got.Count() != want.Count() || got.SplitReady() != want.SplitReady() {
+			t.Fatalf("obs %d: count/ready %d/%v, oracle %d/%v", i, got.Count(), got.SplitReady(), want.Count(), want.SplitReady())
+		}
+		gl, gs := got.Retained()
+		wl, ws := want.Retained()
+		if gl != wl || gs != ws {
+			t.Fatalf("obs %d: retained %d/%d, oracle %d/%d", i, gl, gs, wl, ws)
+		}
+		for v := 0; v < n; v++ {
+			x, xerr := got.At(v)
+			y, yerr := want.At(v)
+			sameStat(t, fmt.Sprintf("obs %d At(%d)", i, v), x, y, xerr, yerr)
+			x, xerr = got.SplitAt(v)
+			y, yerr = want.SplitAt(v)
+			sameStat(t, fmt.Sprintf("obs %d SplitAt(%d)", i, v), x, y, xerr, yerr)
+			x, xerr = got.ESSAt(v)
+			y, yerr = want.ESSAt(v)
+			sameStat(t, fmt.Sprintf("obs %d ESSAt(%d)", i, v), x, y, xerr, yerr)
+		}
+		runtime.GOMAXPROCS(procs[i%len(procs)])
+		scans := []struct {
+			name      string
+			got, want func() (int, float64, error)
+		}{
+			{"Worst", got.Worst, want.Worst},
+			{"WorstSplit", got.WorstSplit, want.WorstSplit},
+			{"MinESS", got.MinESS, want.MinESS},
+		}
+		for _, s := range scans {
+			gv, gx, gerr := s.got()
+			wv, wx, werr := s.want()
+			what := fmt.Sprintf("obs %d %s at GOMAXPROCS %d", i, s.name, runtime.GOMAXPROCS(0))
+			sameStat(t, what, gx, wx, gerr, werr)
+			if gv != wv {
+				t.Fatalf("%s: vertex %d, oracle %d", what, gv, wv)
+			}
+		}
+	}
+}
+
+// BenchmarkRhat measures the diagnostics layer of the adaptive driver on a
+// fixed fabricated history shaped like the repository benchmark's tree
+// workload: 4095 vertices, 16 chains, binary symbols that flip with
+// probability 0.3 per observation, 64 retained observations. observe times
+// one Observe on top of that history (including the row allocations and
+// thinning a long run amortizes); worst-split and min-ess time one full
+// WorstSplit / MinESS scan at L = 64.
+func BenchmarkRhat(b *testing.B) {
+	const n, B, L = 4095, 16, 64
+	lat, err := state.NewCompact(n, B, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := fabricated{lat: lat}
+	history := func() *Rhat {
+		acc, err := NewRhat(m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := dist.NewXoshiro(5, 0)
+		raw := lat.Raw8()
+		for i := range raw {
+			raw[i] = uint8(rng.Uint64() & 1)
+		}
+		for t := 0; t < L; t++ {
+			for i := range raw {
+				if rng.Uint64()%10 < 3 {
+					raw[i] ^= 1
+				}
+			}
+			acc.Observe()
+		}
+		return acc
+	}
+	b.Run("observe", func(b *testing.B) {
+		acc := history()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			acc.Observe()
+		}
+	})
+	b.Run("worst-split", func(b *testing.B) {
+		acc := history()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := acc.WorstSplit(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("min-ess", func(b *testing.B) {
+		acc := history()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := acc.MinESS(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
