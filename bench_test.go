@@ -447,9 +447,10 @@ func benchSamplerSetup(b *testing.B) (*gibbs.Instance, *psample.Rules) {
 // registry: n sequential heat-bath updates for glauber, Δ+1 LubyGlauber
 // phases (a vertex wins a phase with probability ≥ 1/(Δ+1), so Δ+1 rounds
 // perform ≈ n updates), one LocalMetropolis round (every vertex proposes),
-// and one χ-stage ChromaticGlauber sweep. The sharded engines run on the
-// default worker pool — on a multi-core machine they spread the sweep
-// across CPUs while the sequential baseline cannot.
+// and one χ-stage ChromaticGlauber sweep. The three batched engines run
+// one chain (B = 1) on the default worker pool — on a multi-core machine
+// they split the chain's vertices across CPUs while the sequential
+// baseline cannot.
 func BenchmarkSamplerSweep(b *testing.B) {
 	in, _ := benchSamplerSetup(b)
 	for _, name := range sampler.Names() {
@@ -553,19 +554,12 @@ func batchRound(b *testing.B, s interface{ Run(int) error }, chains int) {
 
 // BenchmarkBatchLubySweep measures the batched multi-chain LubyGlauber
 // engine on the 576-vertex torus: one round (one Luby phase across all B
-// chains) per iteration, against the sequential single-chain engine
-// ("single"). ns/chain-round must drop as B grows — the per-vertex plan
-// walk, neighbor scan, and factor-table traffic of the masked subset
-// kernel are shared across the winning chains of a vertex.
+// chains) per iteration; B = 1 is the single-chain engine. ns/chain-round
+// must drop as B grows — the per-vertex plan walk, neighbor scan, and
+// factor-table traffic of the masked subset kernel are shared across the
+// winning chains of a vertex.
 func BenchmarkBatchLubySweep(b *testing.B) {
 	_, rules := benchSamplerSetup(b)
-	b.Run("single", func(b *testing.B) {
-		s, err := psample.NewLubyGlauber(rules, 11)
-		if err != nil {
-			b.Fatal(err)
-		}
-		batchRound(b, s, 1)
-	})
 	for _, B := range []int{1, 8, 32, 128} {
 		b.Run(fmt.Sprintf("B=%d", B), func(b *testing.B) {
 			s, err := psample.NewBatchLubyGlauber(rules, B, 11)
@@ -579,20 +573,12 @@ func BenchmarkBatchLubySweep(b *testing.B) {
 
 // BenchmarkBatchMetropolisSweep measures the batched multi-chain
 // LocalMetropolis engine on the same instance: one round (every free
-// vertex proposes in every chain) per iteration, against the sequential
-// single-chain engine ("single"). The batched filter amortizes each
-// acceptance factor's mixed-radix bases and table rows across a whole
-// chain block, and proposals/adoptions run over contiguous chain-major
-// rows.
+// vertex proposes in every chain) per iteration; B = 1 is the
+// single-chain engine. The batched filter amortizes each acceptance
+// factor's mixed-radix bases and table rows across a whole chain block,
+// and proposals/adoptions run over contiguous chain-major rows.
 func BenchmarkBatchMetropolisSweep(b *testing.B) {
 	_, rules := benchSamplerSetup(b)
-	b.Run("single", func(b *testing.B) {
-		s, err := psample.NewLocalMetropolis(rules, 11)
-		if err != nil {
-			b.Fatal(err)
-		}
-		batchRound(b, s, 1)
-	})
 	for _, B := range []int{1, 8, 32, 128} {
 		b.Run(fmt.Sprintf("B=%d", B), func(b *testing.B) {
 			s, err := psample.NewBatchLocalMetropolis(rules, B, 11)
@@ -606,7 +592,7 @@ func BenchmarkBatchMetropolisSweep(b *testing.B) {
 
 // BenchmarkLubyGlauberLOCAL measures the message-passing harness (4 rounds
 // of LubyGlauber on a 12×12 torus through the LOCAL simulator) — the
-// simulator overhead the sharded engine removes.
+// simulator overhead the in-process engine removes.
 func BenchmarkLubyGlauberLOCAL(b *testing.B) {
 	g := graph.Torus(12, 12)
 	spec, err := model.Hardcore(g, 0.5)

@@ -2,10 +2,10 @@
 // samplers of the paper: the exact local-JVV sampler (Theorem 4.2), the
 // approximate sequential sampler (Theorem 3.2), or any dynamics from the
 // internal/sampler registry (glauber, luby, metropolis, chromatic) run on
-// the sharded in-process engines. -chains runs the dynamic's batched
-// multi-chain engine: B independent chains advanced in lockstep over one
-// shared compiled engine. -cpuprofile and -memprofile write pprof profiles
-// of the whole run.
+// their in-process engines. -chains sets B for the batched multi-chain
+// engines: B independent chains advanced in lockstep over one shared
+// compiled engine (the default, B = 1, is the single-chain engine).
+// -cpuprofile and -memprofile write pprof profiles of the whole run.
 //
 // Instances are declarative: -spec loads a schema document (see
 // internal/spec and testdata/corpus/), and the legacy -model/-graph/-n

@@ -127,8 +127,8 @@ func HeatBath(eng *gibbs.Compiled, l *state.Lattice, chain, v int, cond []float6
 }
 
 // HeatBathX is HeatBath drawing from a value-type dist.Xoshiro stream —
-// the variant the sharded psample engines run so their hot loops make no
-// *rand.Rand interface calls. Identical weights, identical walk: for equal
+// the variant the psample LOCAL harnesses run, so their per-node streams
+// match the engines' generator. Identical weights, identical walk: for equal
 // uniforms the two variants update to the same symbol.
 func HeatBathX(eng *gibbs.Compiled, l *state.Lattice, chain, v int, cond []float64, rng *dist.Xoshiro) error {
 	if cum, last, ok := eng.CondLookupLattice(l, chain, v); ok {

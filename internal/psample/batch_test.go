@@ -1,9 +1,9 @@
 package psample
 
 // batch_test.go validates the batched multi-chain engines end to end:
-// at B = 1 with a single worker both batched engines must reproduce their
-// single-chain counterparts symbol for symbol (same seed, same RNG
-// consumption order, bit-identical kernels), the pooled output of all B
+// at B = 1 with a single worker both batched engines must reproduce the
+// serial references of oracle_test.go symbol for symbol (same seed, same
+// RNG consumption order, bit-identical kernels), the pooled output of all B
 // chains must match the exact Gibbs distribution for every model builder,
 // pinning must hold in every chain, and the forced multi-worker pool must
 // stay feasible under the race detector.
@@ -28,11 +28,11 @@ type multiChain interface {
 }
 
 // TestBatchLubyGlauberMatchesSingleChain pins the B = 1 trajectory of the
-// batched engine to the single-chain engine, chunk by chunk. The seed
-// policy that makes this exact: both engines derive per-worker streams as
-// dist.NewXoshiro(seed, worker), so at Workers = 1 they share one stream;
-// stage 1 draws one uniform per free vertex in increasing order on both
-// sides, and stage 2 heat-baths the winners in increasing vertex order
+// batched engine to the serial reference, chunk by chunk. The seed policy
+// that makes this exact: the engine derives per-worker streams as
+// dist.NewXoshiro(seed, worker), so on one worker it runs the reference's
+// single stream; stage 1 draws one uniform per free vertex in increasing
+// order on both sides, and stage 2 heat-baths the winners in increasing vertex order
 // with one uniform each against bit-identical conditional weights (the
 // subset kernel's identity with the single-cell path is pinned in
 // internal/gibbs). Any divergence in kernel order or draw semantics shows
@@ -44,16 +44,15 @@ func TestBatchLubyGlauberMatchesSingleChain(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			single, err := NewLubyGlauber(r, 42)
+			single, err := newOracleLuby(r, 42)
 			if err != nil {
 				t.Fatal(err)
 			}
-			single.Workers = 1
 			batch, err := NewBatchLubyGlauber(r, 1, 42)
 			if err != nil {
 				t.Fatal(err)
 			}
-			batch.Workers = 1
+			batch.SetWorkers(1)
 			for chunk := 0; chunk < 5; chunk++ {
 				if err := single.Run(9); err != nil {
 					t.Fatal(err)
@@ -80,7 +79,7 @@ func TestBatchLubyGlauberMatchesSingleChain(t *testing.T) {
 }
 
 // TestBatchLocalMetropolisMatchesSingleChain is the LocalMetropolis B = 1
-// agreement test: one proposal draw per free vertex in increasing order,
+// agreement test against the serial reference: one proposal draw per free vertex in increasing order,
 // then one filter coin per acceptance factor in factor order (the batched
 // filter weight is bit-identical to the single-cell filter, pinned in
 // internal/gibbs), and a deterministic adoption stage.
@@ -91,16 +90,15 @@ func TestBatchLocalMetropolisMatchesSingleChain(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			single, err := NewLocalMetropolis(r, 42)
+			single, err := newOracleMetropolis(r, 42)
 			if err != nil {
 				t.Fatal(err)
 			}
-			single.Workers = 1
 			batch, err := NewBatchLocalMetropolis(r, 1, 42)
 			if err != nil {
 				t.Fatal(err)
 			}
-			batch.Workers = 1
+			batch.SetWorkers(1)
 			for chunk := 0; chunk < 5; chunk++ {
 				if err := single.Run(9); err != nil {
 					t.Fatal(err)
@@ -203,7 +201,7 @@ func TestBatchLocalMetropolisMatchesExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Same longer schedule as the single-chain engine: per-round
+			// Same longer schedule as the B = 1 test: per-round
 			// acceptance losses.
 			checkTVMulti(t, c.in, s, 2*c.rounds, c.trials/chains)
 			if s.Accepts() == 0 {
@@ -277,12 +275,12 @@ func TestBatchMultiWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lg.Workers = 4
+	lg.SetWorkers(4)
 	lm, err := NewBatchLocalMetropolis(r, 32, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lm.Workers = 4
+	lm.SetWorkers(4)
 	for _, s := range []multiChain{lg, lm} {
 		for i := 0; i < 6; i++ {
 			if err := s.Run(5); err != nil {

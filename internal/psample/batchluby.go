@@ -3,8 +3,7 @@ package psample
 // batchluby.go is the batched multi-chain LubyGlauber engine: B
 // independent chains of the paper's interleaved construct-and-sample
 // dynamics advanced in lockstep over one chain-major state.Lattice. Each
-// round keeps the two stages of the single-chain engine, batched across
-// the chain dimension:
+// round has two stages, batched across the chain dimension:
 //
 //  1. every free vertex draws one phase value per chain — a contiguous
 //     row of the chain-major draw matrix per (vertex, chain group) item;
@@ -14,36 +13,35 @@ package psample
 //     and weight rows amortized across the winning chains, one uniform
 //     per winner, symbols written straight into the lattice.
 //
-// The phase check is the batched engine's own hot loop, so the draw
-// matrix stores each phase value as the shifted 53-bit key
-// (Uint64()>>11)<<1 rather than the float the single-chain engine
-// derives from the same raw word. The map is an order isomorphism onto
-// the float draws (same 53 bits, same ties), and the free low bit
-// absorbs the vertex-order tiebreak: rival u beats v exactly when
-// keyU|bit > keyV, where bit — precomputed per rival in Rules.rivBit —
-// is 1 iff u > v. That turns the full construct.Beats order into one
+// The phase check is the engine's hot loop, so the draw matrix stores each
+// phase value as the shifted 53-bit key (Uint64()>>11)<<1 rather than the
+// float Float64 derives from the same raw word. The map is an order
+// isomorphism onto the float draws (same 53 bits, same ties), and the free
+// low bit absorbs the vertex-order tiebreak: rival u beats v exactly when
+// keyU|bit > keyV, where bit — precomputed per rival in Rules.rivBit — is
+// 1 iff u > v. That turns the full construct.Beats order into one
 // branchless unsigned compare, so the common case (at most four free
-// rivals, Rules.riv padded with an all-zero sentinel row that never
-// wins) runs as a single fused pass per (vertex, chain group): four
-// compares, no mask buffer, winners compacted in place with a
-// branch-free index bump. Vertices with more than four free rivals take
-// a rival-major sweep over Rules.freeAdj with the same key compare. The
-// naive chain-major port of the single-chain check — re-deriving the
-// rival set, re-testing pinning, and taking an unpredictable branch per
-// rival per chain — was measured to dominate the whole round.
+// rivals, Rules.riv padded with an all-zero sentinel row that never wins)
+// runs as a single fused pass per (vertex, chain group): four compares, no
+// mask buffer, winners compacted in place with a branch-free index bump.
+// Vertices with more than four free rivals take a rival-major sweep over
+// Rules.freeAdj with the same key compare. The naive chain-major port of
+// the scalar check — re-deriving the rival set, re-testing pinning, and
+// taking an unpredictable branch per rival per chain — was measured to
+// dominate the whole round.
 //
-// Correctness is the single-chain argument applied per chain: within any
-// chain the winners form an independent set, so the simultaneous subset
-// updates share no factor and the round restricted to that chain is a
-// product of ordinary heat-bath kernels; across chains there is no
+// Correctness is the independent-set argument applied per chain: within
+// any chain the winners form an independent set, so the simultaneous
+// subset updates share no factor and the round restricted to that chain is
+// a product of ordinary heat-bath kernels; across chains there is no
 // interaction at all. The work grid enumerates chain groups outermost
 // (exactly like the chromatic sampler.Batch), so a worker's contiguous
 // item range covers contiguous chain columns and each column stays with
 // one worker and its RNG stream.
 //
-// At B = 1 with Workers = 1 the engine consumes its RNG stream in
-// exactly the order of the single-chain LubyGlauber (one raw word per
-// free vertex in increasing order — the key above and the single-chain
+// At B = 1 on one worker the engine consumes its RNG stream in exactly
+// the order of the serial reference in oracle_test.go (one raw word per
+// free vertex in increasing order — the key above and the reference's
 // float are the same draw — then one heat-bath uniform per winner in
 // increasing vertex order) against bit-identical weights, so the two
 // trajectories agree symbol for symbol — the agreement tests pin this.
@@ -59,9 +57,9 @@ import (
 // BatchLubyGlauber advances B independent LubyGlauber chains in lockstep
 // over one shared compiled engine.
 type BatchLubyGlauber struct {
-	// Workers overrides the worker count when positive (default: one per
-	// CPU, bounded so per-stage blocks stay coarse).
-	Workers int
+	// nworkers is the SetWorkers override when positive (default: one
+	// per CPU, bounded so per-stage blocks stay coarse).
+	nworkers int
 
 	rules *Rules
 	// chains is B, the number of independent chains.
@@ -153,7 +151,7 @@ func (s *BatchLubyGlauber) Updates() int64 { return s.updates }
 // CPU-scaled default). Per-worker RNG streams mean trajectories depend on
 // the worker count; callers wanting machine-independent reproducibility
 // (the adaptive run driver) pin it.
-func (s *BatchLubyGlauber) SetWorkers(w int) { s.Workers = w }
+func (s *BatchLubyGlauber) SetWorkers(w int) { s.nworkers = w }
 
 // ensureWorkers sizes the per-worker state for w workers and chain
 // groups of cb.
@@ -197,7 +195,7 @@ func (s *BatchLubyGlauber) Run(rounds int) error {
 	groups := (B + cb - 1) / cb
 	nfree := len(free)
 	items := nfree * groups
-	workers := s.Workers
+	workers := s.nworkers
 	if workers <= 0 {
 		workers = DefaultWorkers(items * cb)
 	}

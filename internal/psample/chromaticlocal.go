@@ -16,8 +16,9 @@ package psample
 // engine: a stage updates one color class, an independent set of the
 // interaction graph whose factor scopes are cliques, so simultaneous
 // updates never share a factor and each stage is a product of ordinary
-// heat-bath kernels. The harness reuses glauber.HeatBathX — the exact
-// update rule of the sharded engine — so the two cannot drift apart.
+// heat-bath kernels. The harness runs glauber.HeatBathX, whose
+// conditional weights are bit-identical to the batched engine's fused
+// kernel, so the two cannot drift apart.
 
 import (
 	"fmt"

@@ -1,10 +1,10 @@
 package psample
 
-// psample_test.go validates the samplers end to end: the direct sharded
-// engines must reproduce the exact Gibbs distribution (TV distance against
-// internal/exact within the dist.ExpectedTVNoise envelope) for every
-// internal/model builder, stay feasible, respect pinning, and behave
-// identically across worker counts.
+// psample_test.go validates the single-chain engines (the batched engines
+// at B = 1) end to end: they must reproduce the exact Gibbs distribution
+// (TV distance against internal/exact within the dist.ExpectedTVNoise
+// envelope) for every internal/model builder, and stay feasible and
+// respect pinning, also with one chain split across workers.
 
 import (
 	"strings"
@@ -76,7 +76,7 @@ func buildTVCases(t *testing.T) []tvCase {
 	return cases
 }
 
-// sampler abstracts the two direct engines for the shared TV harness.
+// sampler abstracts the two engines for the shared TV harness.
 type sampler interface {
 	Reset(seed int64) error
 	Run(rounds int) error
@@ -113,8 +113,8 @@ func checkTV(t *testing.T, in *gibbs.Instance, s sampler, rounds, trials int) {
 	}
 }
 
-// TestLubyGlauberMatchesExact pins the LubyGlauber output distribution to
-// the brute-force referee for every model builder.
+// TestLubyGlauberMatchesExact pins the single-chain LubyGlauber output
+// distribution to the brute-force referee for every model builder.
 func TestLubyGlauberMatchesExact(t *testing.T) {
 	for _, c := range buildTVCases(t) {
 		t.Run(c.name, func(t *testing.T) {
@@ -122,7 +122,7 @@ func TestLubyGlauberMatchesExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := NewLubyGlauber(r, 1)
+			s, err := NewBatchLubyGlauber(r, 1, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,8 +134,8 @@ func TestLubyGlauberMatchesExact(t *testing.T) {
 	}
 }
 
-// TestLocalMetropolisMatchesExact pins the LocalMetropolis output
-// distribution to the brute-force referee for every model builder.
+// TestLocalMetropolisMatchesExact pins the single-chain LocalMetropolis
+// output distribution to the brute-force referee for every model builder.
 func TestLocalMetropolisMatchesExact(t *testing.T) {
 	for _, c := range buildTVCases(t) {
 		t.Run(c.name, func(t *testing.T) {
@@ -143,7 +143,7 @@ func TestLocalMetropolisMatchesExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := NewLocalMetropolis(r, 1)
+			s, err := NewBatchLocalMetropolis(r, 1, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,7 +158,7 @@ func TestLocalMetropolisMatchesExact(t *testing.T) {
 }
 
 // TestShardedRespectsPinning checks that pinned vertices never move under
-// either engine.
+// either single-chain engine.
 func TestShardedRespectsPinning(t *testing.T) {
 	spec, err := model.Hardcore(graph.Path(6), 1.0)
 	if err != nil {
@@ -173,11 +173,11 @@ func TestShardedRespectsPinning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lg, err := NewLubyGlauber(r, 7)
+	lg, err := NewBatchLubyGlauber(r, 1, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lm, err := NewLocalMetropolis(r, 7)
+	lm, err := NewBatchLocalMetropolis(r, 1, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,8 +197,9 @@ func TestShardedRespectsPinning(t *testing.T) {
 }
 
 // TestShardedMultiWorker exercises the worker-pool path (barriers, block
-// partition, per-worker RNG streams) on a larger instance and checks the
-// chain stays feasible throughout. The race-detector CI job makes this a
+// partition, per-worker RNG streams) with one chain split across workers
+// by vertex blocks on a larger instance, and checks the chain stays
+// feasible throughout. The race-detector CI job makes this a
 // synchronization test as much as a correctness one.
 func TestShardedMultiWorker(t *testing.T) {
 	g := graph.Torus(8, 8)
@@ -214,16 +215,16 @@ func TestShardedMultiWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lg, err := NewLubyGlauber(r, 3)
+	lg, err := NewBatchLubyGlauber(r, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lg.Workers = 4
-	lm, err := NewLocalMetropolis(r, 3)
+	lg.SetWorkers(4)
+	lm, err := NewBatchLocalMetropolis(r, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lm.Workers = 4
+	lm.SetWorkers(4)
 	for _, s := range []sampler{lg, lm} {
 		for i := 0; i < 10; i++ {
 			if err := s.Run(5); err != nil {
@@ -240,10 +241,10 @@ func TestShardedMultiWorker(t *testing.T) {
 	}
 }
 
-// TestShardedForcedWorkersSmall forces a multi-worker pool on instances so
-// small that DefaultWorkers would collapse them to the inline 1-worker
-// path, so the barrier and block-partition code runs under the race
-// detector even for tiny cases. Correctness is checked by feasibility and
+// TestShardedForcedWorkersSmall forces a multi-worker pool on one chain of
+// an instance so small that DefaultWorkers would collapse it to the inline
+// 1-worker path, so the B = 1 vertex-block partition and its barriers run
+// under the race detector even for tiny cases. Correctness is checked by feasibility and
 // pinning invariants after every batch.
 func TestShardedForcedWorkersSmall(t *testing.T) {
 	spec, err := model.Hardcore(graph.Cycle(7), 1.1)
@@ -261,16 +262,16 @@ func TestShardedForcedWorkersSmall(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 5} {
-		lg, err := NewLubyGlauber(r, 42)
+		lg, err := NewBatchLubyGlauber(r, 1, 42)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lg.Workers = workers
-		lm, err := NewLocalMetropolis(r, 42)
+		lg.SetWorkers(workers)
+		lm, err := NewBatchLocalMetropolis(r, 1, 42)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lm.Workers = workers
+		lm.SetWorkers(workers)
 		for _, s := range []sampler{lg, lm} {
 			for batch := 0; batch < 8; batch++ {
 				if err := s.Run(10); err != nil {

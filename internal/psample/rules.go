@@ -1,19 +1,17 @@
-// Package psample implements the paper's two distributed samplers on the
-// LOCAL runtime — LubyGlauber and LocalMetropolis (Section 1.2) — each in
-// two harnesses that share one update-rule implementation:
+// Package psample implements the paper's two distributed samplers —
+// LubyGlauber and LocalMetropolis (Section 1.2) — each in two harnesses
+// that share one update-rule implementation:
 //
 //   - a message-passing harness on local.Network, where only synchronous
 //     rounds are charged, validating the O(Δ log n)-style round behavior
 //     experimentally, and
-//   - a direct sharded in-process engine (a worker pool over vertex and
-//     factor blocks with no message overhead) for throughput comparisons
-//     against the sequential glauber.Chain baseline, and
-//   - a batched multi-chain engine per dynamics (BatchLubyGlauber,
-//     BatchLocalMetropolis) advancing B independent chains in lockstep
+//   - a batched in-process engine per dynamics (BatchLubyGlauber,
+//     BatchLocalMetropolis) advancing B ≥ 1 independent chains in lockstep
 //     over one chain-major state.Lattice through the masked fused kernels
 //     (gibbs.Compiled.SampleVertexSubset, FilterWeightBatch), with
-//     per-worker value-type RNG streams; at B = 1 with one worker each
-//     batched engine reproduces its single-chain trajectory bit for bit.
+//     per-worker value-type RNG streams on the RunRounds worker pool. B = 1
+//     is the single-chain engine; at B = 1 with one worker each engine
+//     reproduces the serial reference in oracle_test.go bit for bit.
 //
 // LubyGlauber interleaves construction and sampling: each round one phase
 // of Luby's MIS algorithm (construct.Beats) picks an independent set of
@@ -40,7 +38,6 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/construct"
 	"repro/internal/dist"
 	"repro/internal/gibbs"
 	"repro/internal/graph"
@@ -86,8 +83,8 @@ type Rules struct {
 	proposal []dist.Dist
 	// propCDF[v] is proposal[v] frozen into a cumulative row (zero value
 	// for pinned vertices): one compare per symbol per draw, bit-identical
-	// to proposal[v].Sample for the same uniform, shared by the sharded and
-	// batched Metropolis engines so their stage-1 draws agree exactly.
+	// to proposal[v].Sample for the same uniform, shared by the batched
+	// engine and the LOCAL harness (Propose) so their draws agree exactly.
 	propCDF []dist.CDF
 	// acc lists the acceptance-filtered factors: factors with at least two
 	// distinct free scope vertices.
@@ -432,33 +429,6 @@ func (r *Rules) FilterProbLattice(j int, old, prop *state.Lattice, chain int) (f
 	return w * af.scale, nil
 }
 
-// FilterStage flips the round's filter coins of acceptance factors
-// lo ≤ j < hi against chain `chain` of (old, prop), writing accOK[j] —
-// the sharded LocalMetropolis stage-2 hot path, with the lattice
-// representation dispatched once per stage instead of once per factor.
-func (r *Rules) FilterStage(old, prop *state.Lattice, chain, lo, hi int, rng *dist.Xoshiro, accOK []bool) error {
-	if o8, p8 := old.Raw8(), prop.Raw8(); o8 != nil && p8 != nil {
-		return filterStage(r, o8, old.Chains(), p8, prop.Chains(), chain, lo, hi, rng, accOK)
-	}
-	if ow, pw := old.RawWide(), prop.RawWide(); ow != nil && pw != nil {
-		return filterStage(r, ow, old.Chains(), pw, prop.Chains(), chain, lo, hi, rng, accOK)
-	}
-	return errors.New("psample: filter lattices have mixed cell representations")
-}
-
-// filterStage is the width-specialized FilterStage body.
-func filterStage[T state.Cells](r *Rules, old []T, oB int, prop []T, pB int, chain, lo, hi int, rng *dist.Xoshiro, accOK []bool) error {
-	for j := lo; j < hi; j++ {
-		af := &r.acc[j]
-		w, err := gibbs.FilterWeightCells(r.eng, af.fi, old, oB, prop, pB, chain, af.verts)
-		if err != nil {
-			return err
-		}
-		accOK[j] = rng.Float64() < w*af.scale
-	}
-	return nil
-}
-
 // ClassSchedule returns the deterministic chromatic stage schedule: the
 // free vertices grouped into independent sets by a proper coloring of the
 // interaction graph — natural-order greedy or the degeneracy
@@ -487,16 +457,4 @@ func (r *Rules) ClassSchedule() [][]int {
 		r.sched = classes
 	})
 	return r.sched
-}
-
-// winsPhase reports whether free vertex v wins the round's Luby phase: its
-// draw beats the draw of every free neighbor (construct.Beats is the single
-// source of truth for the phase rule, shared with the MIS construction).
-func (r *Rules) winsPhase(v int, draws []float64, neighbors []int) bool {
-	for _, u := range neighbors {
-		if r.free[u] && construct.Beats(draws[u], u, draws[v], v) {
-			return false
-		}
-	}
-	return true
 }

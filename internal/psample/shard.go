@@ -1,8 +1,8 @@
 package psample
 
-// shard.go is the direct in-process execution substrate shared by the
-// sharded sampler engines (and by the batched multi-chain engine in
-// internal/sampler): a static block partition of work items across a
+// shard.go is the in-process execution substrate shared by the batched
+// engines (BatchLubyGlauber, BatchLocalMetropolis, and the chromatic
+// sampler.Batch): a static block partition of work items across a
 // bounded worker pool, with a reusable generation barrier between the
 // stages of each round. With one worker the stage functions run inline —
 // no goroutines, no barriers — so small instances and single-CPU machines

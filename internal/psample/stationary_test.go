@@ -300,7 +300,7 @@ func checkBatchTiny(t *testing.T, in *gibbs.Instance, s interface {
 // engine's one-round kernel: chains of the batched engine do not interact
 // (disjoint lattice columns, disjoint draws), and the B = 1 agreement test
 // in batch_test.go ties its per-chain trajectory symbol for symbol to the
-// single-chain engine — so the enumerated single-chain kernel checked here
+// serial reference — so the enumerated single-chain kernel checked here
 // IS the batched engine's per-chain kernel, and µP = µ per chain implies
 // stationarity of the whole lattice product. The batched engine itself is
 // then driven over each tiny instance to exercise the masked subset kernel

@@ -257,9 +257,6 @@ type Report struct {
 type accepter interface{ Accepts() int64 }
 type updater interface{ Updates() int64 }
 
-// workered is the optional worker-pinning surface of the batched engines.
-type workered interface{ SetWorkers(int) }
-
 // counterOf reads the engine's progress counter, preferring acceptance
 // (the rate that actually collapses) over unconditional updates.
 func counterOf(m sampler.MultiChain) (int64, bool) {
@@ -315,9 +312,7 @@ func Drive(in *gibbs.Instance, seed int64, p Policy) (*Report, sampler.MultiChai
 			return nil, nil, fmt.Errorf("run: stage %d: dynamic %q is not a multi-chain engine", si, st.Dynamic)
 		}
 		if p.Workers > 0 {
-			if w, ok := m.(workered); ok {
-				w.SetWorkers(p.Workers)
-			}
+			m.SetWorkers(p.Workers)
 		}
 		if prev != nil {
 			// Lattice handoff: the previous stage's chains are the new

@@ -20,6 +20,10 @@
 // between them: Run(SweepRounds(in)) performs ≈ one expected update per
 // free vertex for every registered dynamic, which is what makes mixing
 // budgets comparable across dynamics.
+//
+// Each dynamic registers exactly one constructor: the sequential baseline
+// its single-chain New, every other dynamic its batched engine (NewBatch),
+// which at B = 1 is also its single-chain engine.
 package sampler
 
 import (
@@ -33,8 +37,8 @@ import (
 )
 
 // Sampler is the common control surface of every dynamic. All four
-// built-in dynamics implement it: the two psample engines natively, the
-// sequential chain and the chromatic engine through thin adapters.
+// built-in dynamics implement it: the three batched engines natively, the
+// sequential chain through a thin adapter.
 type Sampler interface {
 	// Reset restarts the dynamic from the instance's canonical start (the
 	// greedy feasible completion of the pinning) with fresh RNG streams
@@ -53,8 +57,8 @@ type Sampler interface {
 // one chain-major state lattice — the control surface of every batched
 // engine (the chromatic Batch and the batched LubyGlauber and
 // LocalMetropolis engines of internal/psample). State() is chain 0's
-// configuration, so a MultiChain at B = 1 drops into any single-chain
-// consumer; diagnostics that want all chains (the R̂ accumulator) read
+// configuration, so a MultiChain at B = 1 is the dynamic's single-chain
+// engine; diagnostics that want all chains (the R̂ accumulator) read
 // Chains/Chain/Lattice.
 type MultiChain interface {
 	Sampler
@@ -65,6 +69,10 @@ type MultiChain interface {
 	// Lattice exposes the chain-major state container (read-only for
 	// callers).
 	Lattice() *state.Lattice
+	// SetWorkers overrides the worker count (nonpositive restores the
+	// CPU-scaled default). Per-worker RNG streams make trajectories depend
+	// on it, so callers wanting machine-independent runs pin it.
+	SetWorkers(w int)
 }
 
 // Info is one registry entry: a named dynamic plus the per-dynamic
@@ -74,14 +82,16 @@ type Info struct {
 	Name string
 	// Synopsis is a one-line description for CLI help output.
 	Synopsis string
-	// New constructs the dynamic on the instance, started from the greedy
-	// completion of the pinning, with RNG streams derived from seed.
+	// New constructs a dynamic that has no batched form (the sequential
+	// baseline) on the instance, started from the greedy completion of the
+	// pinning, with RNG streams derived from seed. Exactly one of New and
+	// NewBatch is set.
 	New func(in *gibbs.Instance, seed int64) (Sampler, error)
 	// SweepRounds returns how many rounds of this dynamic make one
 	// sweep-equivalent (≈ one expected update per free vertex).
 	SweepRounds func(in *gibbs.Instance) int
-	// NewBatch constructs the batched multi-chain form of the dynamic
-	// (nil for dynamics without one, e.g. the sequential baseline).
+	// NewBatch constructs the batched multi-chain engine of the dynamic;
+	// at chains = 1 it is the dynamic's single-chain engine.
 	NewBatch func(in *gibbs.Instance, chains int, seed int64) (MultiChain, error)
 }
 
@@ -91,11 +101,12 @@ var (
 )
 
 // Register adds a dynamic to the registry. It panics on an empty name, a
-// duplicate, or a nil constructor — registration is an init-time
-// programming act, not a runtime input.
+// duplicate, a missing sweep measure, or anything but exactly one
+// constructor — registration is an init-time programming act, not a
+// runtime input.
 func Register(info Info) {
-	if info.Name == "" || info.New == nil || info.SweepRounds == nil {
-		panic("sampler: Register needs a name, a constructor, and a sweep measure")
+	if info.Name == "" || info.SweepRounds == nil || (info.New == nil) == (info.NewBatch == nil) {
+		panic("sampler: Register needs a name, exactly one of New and NewBatch, and a sweep measure")
 	}
 	regMu.Lock()
 	defer regMu.Unlock()
@@ -127,10 +138,11 @@ func Names() []string {
 
 // Options configures Create, the registry's single creation path.
 type Options struct {
-	// Chains selects the engine: 0 is the dynamic's single-chain engine;
-	// B ≥ 1 is its batched multi-chain engine advancing B independent
-	// chains in lockstep (an error for dynamics without one). A batched
-	// result implements MultiChain.
+	// Chains selects the chain count: 0 is the dynamic's single-chain
+	// engine — its batched engine at B = 1, or New for a dynamic without
+	// one; B ≥ 1 is the batched engine advancing B independent chains in
+	// lockstep (an error for dynamics without one). A batched result
+	// implements MultiChain.
 	Chains int
 	// Seed derives every RNG stream of the dynamic.
 	Seed int64
@@ -144,13 +156,23 @@ func Create(name string, in *gibbs.Instance, o Options) (Sampler, error) {
 	if !ok {
 		return nil, fmt.Errorf("sampler: unknown dynamic %q (have %v)", name, Names())
 	}
-	if o.Chains == 0 {
+	if info.NewBatch == nil {
+		if o.Chains != 0 {
+			return nil, fmt.Errorf("sampler: dynamic %q has no batched multi-chain form (have %v)", name, MultiNames())
+		}
 		return info.New(in, o.Seed)
 	}
-	if info.NewBatch == nil {
-		return nil, fmt.Errorf("sampler: dynamic %q has no batched multi-chain form (have %v)", name, MultiNames())
+	chains := o.Chains
+	if chains == 0 {
+		chains = 1
 	}
-	return info.NewBatch(in, o.Chains, o.Seed)
+	m, err := info.NewBatch(in, chains, o.Seed)
+	if err != nil {
+		// A failed constructor's typed nil must not leak as a non-nil
+		// Sampler.
+		return nil, err
+	}
+	return m, nil
 }
 
 // MultiNames returns the registered dynamics with a batched multi-chain

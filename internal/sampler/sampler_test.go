@@ -56,9 +56,9 @@ func TestNewUnknownDynamic(t *testing.T) {
 
 // TestCreateSelectsEngine pins Create's Options contract: Chains = 0 is
 // the single-chain engine, Chains ≥ 1 the batched multi-chain engine
-// (which must implement MultiChain), a batched request on a dynamic
-// without one is a descriptive error, and the deprecated New/NewMulti
-// wrappers agree with Create.
+// (which must implement MultiChain), two Create calls with the same
+// options follow the same trajectory, and a batched request on a dynamic
+// without one is a descriptive error.
 func TestCreateSelectsEngine(t *testing.T) {
 	spec, err := model.Hardcore(graph.Cycle(6), 1.2)
 	if err != nil {
@@ -116,6 +116,82 @@ func TestCreateSelectsEngine(t *testing.T) {
 	// Dynamics without a batched form: a descriptive error, not a panic.
 	if _, err := Create("glauber", in, Options{Chains: 4}); err == nil {
 		t.Error("Create(glauber, Chains: 4) accepted")
+	}
+}
+
+// TestCreateSingleChainIsBatchedB1 pins the single-chain contract: for
+// every dynamic with a batched engine, Chains: 0 and Chains: 1 both build
+// that engine with one chain, and their trajectories are bit-identical.
+func TestCreateSingleChainIsBatchedB1(t *testing.T) {
+	spec, err := model.Ising(graph.Cycle(9), 0.6, 1.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin := dist.NewConfig(9)
+	pin[4] = 1
+	in, err := gibbs.NewInstance(spec, pin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range MultiNames() {
+		t.Run(name, func(t *testing.T) {
+			var engines [2]MultiChain
+			for i, chains := range []int{0, 1} {
+				s, err := Create(name, in, Options{Chains: chains, Seed: 9})
+				if err != nil {
+					t.Fatalf("Create(Chains: %d) = %v", chains, err)
+				}
+				m, ok := s.(MultiChain)
+				if !ok {
+					t.Fatalf("Create(Chains: %d) built %T, not a MultiChain", chains, s)
+				}
+				if m.Chains() != 1 {
+					t.Fatalf("Create(Chains: %d).Chains() = %d, want 1", chains, m.Chains())
+				}
+				engines[i] = m
+			}
+			for chunk := 0; chunk < 4; chunk++ {
+				for _, m := range engines {
+					if err := m.Run(7); err != nil {
+						t.Fatal(err)
+					}
+				}
+				a, b := engines[0].State(), engines[1].State()
+				if !a.Equal(b) {
+					t.Fatalf("chunk %d: Chains: 0 at %v, Chains: 1 at %v", chunk, a, b)
+				}
+			}
+			if r0, r1 := engines[0].Rounds(), engines[1].Rounds(); r0 != 28 || r1 != 28 {
+				t.Errorf("Rounds() = %d, %d, want 28", r0, r1)
+			}
+		})
+	}
+}
+
+// TestRegisterNeedsExactlyOneConstructor pins the registry rule: a
+// dynamic registers either its batched engine or, when it has none, a
+// single-chain constructor — never both, never neither.
+func TestRegisterNeedsExactlyOneConstructor(t *testing.T) {
+	newSingle := func(*gibbs.Instance, int64) (Sampler, error) { return nil, nil }
+	newBatch := func(*gibbs.Instance, int, int64) (MultiChain, error) { return nil, nil }
+	sweep := func(*gibbs.Instance) int { return 1 }
+	for _, info := range []Info{
+		{Name: "test-both", New: newSingle, NewBatch: newBatch, SweepRounds: sweep},
+		{Name: "test-neither", SweepRounds: sweep},
+	} {
+		t.Run(info.Name, func(t *testing.T) {
+			defer func() {
+				regMu.Lock()
+				delete(registry, info.Name)
+				regMu.Unlock()
+			}()
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Register accepted %q", info.Name)
+				}
+			}()
+			Register(info)
+		})
 	}
 }
 
@@ -286,7 +362,7 @@ func TestBatchForcedWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b.Workers = workers
+			b.SetWorkers(workers)
 			for batch := 0; batch < 6; batch++ {
 				if err := b.Run(4); err != nil {
 					t.Fatal(err)

@@ -135,7 +135,7 @@ func TestChromaticGlauberStationaryExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := NewChromaticGlauber(r, 1)
+			s, err := NewBatch(r, 1, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,7 +145,7 @@ func TestChromaticGlauberStationaryExact(t *testing.T) {
 			}
 			eng := r.Engine()
 			mu := truth
-			for k, class := range s.Batch().Classes() {
+			for k, class := range s.Classes() {
 				mu = applyClassKernel(t, eng, in.Q(), class, mu)
 				tv, err := dist.TVJoint(truth, mu)
 				if err != nil {
@@ -170,13 +170,13 @@ func TestChromaticScheduleCoversFreeVertices(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := NewChromaticGlauber(r, 1)
+			s, err := NewBatch(r, 1, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			g := in.Spec.G
 			seen := make(map[int]int)
-			for _, class := range s.Batch().Classes() {
+			for _, class := range s.Classes() {
 				for i, v := range class {
 					seen[v]++
 					if !r.Free(v) {
