@@ -31,15 +31,21 @@ package sampler
 //     doubles, so the retained series stays evenly spaced across the whole
 //     history and memory stays bounded no matter how long the run.
 //
-// The per-vertex statistics first gather vertex v's B×L block out of the
-// rows into a scratch small enough for L1 and then run the same
-// floating-point operations in the same order as a per-series evaluation
-// would, so every value is bit-identical to it: series means come from
-// exact integer sums (every partial sum of ≤ maxRetain int32 symbols is an
-// integer below 2⁵³, so it equals the serial float sum), each chain's
-// squared deviations accumulate in time order, centred values are computed
-// once per vertex, and one pass accumulates the Geyer lags k..k+3 with one
-// accumulator each, in (chain, time) order. The worst-vertex scans split
+// A convergence check — the first WorstSplit or MinESS call after an
+// Observe — runs one scan over the vertices that computes both the split
+// R̂ and the ESS of every vertex and keeps both winners; the other call
+// returns the kept winner, and the next Observe drops them. Per vertex the
+// scan gathers the B×L block out of the rows once, into a scratch small
+// enough for L1, then makes one integer pass and one float pass over it
+// (see chainStats) that yield every per-chain moment both statistics need,
+// plus the centred series. Each step runs the same floating-point
+// operations in the same order as a per-series evaluation would, so every
+// value is bit-identical to it: series means come from exact integer sums
+// (every partial sum of ≤ maxRetain int32 symbols is an integer below 2⁵³,
+// so it equals the serial float sum), each accumulator sees its
+// deviations in time order, and one pass accumulates the Geyer lags
+// k..k+3 with one accumulator each, in (chain, time) order. SplitAt and
+// ESSAt run the same per-vertex path for a single vertex. The scans split
 // the vertices into contiguous blocks across goroutines; see scan for why
 // the answer is independent of the block count.
 
@@ -89,9 +95,14 @@ type Rhat struct {
 	skip   int
 
 	// scr holds one scratch per scan block (scr[0] also serves the
-	// single-vertex calls); picks holds each block's winner.
+	// single-vertex calls); picks holds each block's winners.
 	scr   []scratch
-	picks []pick
+	picks []extremes
+
+	// best holds the check's winners (max: split R̂, min: ESS) for the
+	// current observations while checked is set.
+	checked bool
+	best    extremes
 }
 
 // scratch is one goroutine's per-vertex working set.
@@ -101,9 +112,8 @@ type scratch struct {
 	// chain-major with stride L+lagPad and zero padding (cen[c*(L+lagPad)+t]).
 	blk []int32
 	cen []float64
-	// sums, mean and dev are per-chain moments of one block (see moments);
-	// seqMean/seqVar are the 2B split-sequence moments.
-	sums      []int64
+	// mean and dev are per-chain moments of one block and seqMean/seqVar
+	// the 2B split-sequence moments (see chainStats).
 	mean, dev []float64
 	seqMean   []float64
 	seqVar    []float64
@@ -152,6 +162,7 @@ func NewRhatRetain(m MultiChain, retain int) (*Rhat, error) {
 // chunks (e.g. once per sweep-equivalent).
 func (r *Rhat) Observe() {
 	r.count++
+	r.dropCheck()
 	keep := r.skip == 0
 	var row []int32
 	if keep {
@@ -247,7 +258,6 @@ func (r *Rhat) scratchFor(i int) *scratch {
 		r.scr = append(r.scr, scratch{
 			blk:     make([]int32, B*r.retain),
 			cen:     make([]float64, B*(r.retain+lagPad)),
-			sums:    make([]int64, B),
 			mean:    make([]float64, B),
 			dev:     make([]float64, B),
 			seqMean: make([]float64, 2*B),
@@ -278,34 +288,167 @@ func (r *Rhat) gather(sc *scratch, v int) []int32 {
 	return blk
 }
 
-// moments sets, for each chain c of the time-major block blk (blk[t*B+c],
-// B chains), mean[c] to the chain's mean and dev[c] to its sum of squared
-// deviations from that mean. The mean comes from the exact integer sum, so
-// it equals the serial float sum's; each dev[c] accumulates in time order,
-// as a per-series loop would. When cen is non-nil, the centred values are
-// also stored chain-major: cen[c*stride+t].
-func moments(blk []int32, B int, sums []int64, mean, dev, cen []float64, stride int) {
-	sums, mean, dev = sums[:B], mean[:B], dev[:B]
-	clear(sums)
-	for t := 0; t < len(blk); t += B {
-		for c, x := range blk[t : t+B] {
-			sums[c] += int64(x)
-		}
+// chainStats summarizes the time-major block blk (blk[t*B+c], B chains of
+// L observations) into the scratch, for every chain c:
+//
+//   - mean[c] and dev[c], the chain's mean and its sum of squared
+//     deviations from that mean;
+//   - seqMean[2c+h] and seqVar[2c+h], the mean and variance of its first
+//     (h = 0) and last (h = 1) m = L/2 observations — the split
+//     statistic's sequences (for odd L the middle one is in neither);
+//   - cen[c*S+t], the centred series, chain-major.
+//
+// One integer pass sums each half and the middle; every mean divides an
+// exact integer sum (the whole-series sum is the integer total of the
+// three), so it equals the serial float sum's. One float pass in time
+// order then feeds each accumulator exactly the terms, in exactly the
+// order, of a per-series loop: the whole-series deviations at every t,
+// the first-half deviations at t < m and the second-half ones at
+// t ≥ L−m. Both passes run four chains at a time with one scalar
+// accumulator per chain and statistic, so the sums live in registers; the
+// B mod 4 remaining chains run one at a time.
+func chainStats(sc *scratch, blk []int32, B, L int, cen []float64, S int) {
+	c := 0
+	for ; c+4 <= B; c += 4 {
+		chains4(sc, blk, B, c, L, cen, S)
 	}
-	n := float64(len(blk) / B)
-	for c := range mean {
-		mean[c] = float64(sums[c]) / n
-		dev[c] = 0
+	for ; c < B; c++ {
+		chain1(sc, blk, B, c, L, cen, S)
 	}
-	for t, i := 0, 0; t < len(blk); t, i = t+B, i+1 {
-		for c, x := range blk[t : t+B] {
-			d := float64(x) - mean[c]
-			dev[c] += d * d
-			if cen != nil {
-				cen[c*stride+i] = d
-			}
-		}
+}
+
+// chains4 is chainStats for the four chains c..c+3.
+func chains4(sc *scratch, blk []int32, B, c, L int, cen []float64, S int) {
+	m, hi := L/2, L-L/2
+	s1 := sum4(blk, B, c, 0, m)
+	mid := sum4(blk, B, c, m, hi)
+	s2 := sum4(blk, B, c, hi, L)
+	Lf, mf := float64(L), float64(m)
+	var mu, mu1, mu2 [4]float64
+	for j := range mu {
+		mu[j] = float64(s1[j]+mid[j]+s2[j]) / Lf
+		mu1[j] = float64(s1[j]) / mf
+		mu2[j] = float64(s2[j]) / mf
 	}
+	var dev, dev1, dev2, none [4]float64
+	dev4(blk, B, c, 0, m, &mu, &mu1, &dev, &dev1, cen, S)
+	if hi > m {
+		dev4(blk, B, c, m, hi, &mu, &mu, &dev, &none, cen, S)
+	}
+	dev4(blk, B, c, hi, L, &mu, &mu2, &dev, &dev2, cen, S)
+	for j := range mu {
+		k := c + j
+		sc.mean[k], sc.dev[k] = mu[j], dev[j]
+		sc.seqMean[2*k], sc.seqVar[2*k] = mu1[j], dev1[j]/(mf-1)
+		sc.seqMean[2*k+1], sc.seqVar[2*k+1] = mu2[j], dev2[j]/(mf-1)
+	}
+}
+
+// sum4 returns the integer sums of chains c..c+3 over times [lo, hi).
+func sum4(blk []int32, B, c, lo, hi int) [4]int64 {
+	var s0, s1, s2, s3 int64
+	for o := lo*B + c; o < hi*B; o += B {
+		x := blk[o : o+4 : o+4]
+		s0 += int64(x[0])
+		s1 += int64(x[1])
+		s2 += int64(x[2])
+		s3 += int64(x[3])
+	}
+	return [4]int64{s0, s1, s2, s3}
+}
+
+// dev4 continues, over times [lo, hi), two sums of squared deviations for
+// each chain c+j of c..c+3: acc[j] from the whole-series mean mu[j], whose
+// centred values it stores in cen, and half[j] from the half mean hmu[j].
+func dev4(blk []int32, B, c, lo, hi int, mu, hmu, acc, half *[4]float64, cen []float64, S int) {
+	// The means are read through mu and hmu at every step rather than held
+	// in locals: the loads fold into the subtractions, which leaves the
+	// registers to the eight accumulators.
+	a0, a1, a2, a3 := acc[0], acc[1], acc[2], acc[3]
+	e0, e1, e2, e3 := half[0], half[1], half[2], half[3]
+	y0 := cen[c*S+lo : c*S+hi]
+	y1 := cen[(c+1)*S+lo:][:len(y0)]
+	y2 := cen[(c+2)*S+lo:][:len(y0)]
+	y3 := cen[(c+3)*S+lo:][:len(y0)]
+	o := lo*B + c
+	for t := range y0 {
+		x := blk[o : o+4 : o+4]
+		o += B
+		f := float64(x[0])
+		d, g := f-mu[0], f-hmu[0]
+		a0 += d * d
+		e0 += g * g
+		y0[t] = d
+		f = float64(x[1])
+		d, g = f-mu[1], f-hmu[1]
+		a1 += d * d
+		e1 += g * g
+		y1[t] = d
+		f = float64(x[2])
+		d, g = f-mu[2], f-hmu[2]
+		a2 += d * d
+		e2 += g * g
+		y2[t] = d
+		f = float64(x[3])
+		d, g = f-mu[3], f-hmu[3]
+		a3 += d * d
+		e3 += g * g
+		y3[t] = d
+	}
+	acc[0], acc[1], acc[2], acc[3] = a0, a1, a2, a3
+	half[0], half[1], half[2], half[3] = e0, e1, e2, e3
+}
+
+// chain1 is chainStats for the single chain c.
+func chain1(sc *scratch, blk []int32, B, c, L int, cen []float64, S int) {
+	m, hi := L/2, L-L/2
+	var s1, mid, s2 int64
+	for t := 0; t < m; t++ {
+		s1 += int64(blk[t*B+c])
+	}
+	if hi > m {
+		mid = int64(blk[m*B+c])
+	}
+	for t := hi; t < L; t++ {
+		s2 += int64(blk[t*B+c])
+	}
+	mf := float64(m)
+	mu, mu1, mu2 := float64(s1+mid+s2)/float64(L), float64(s1)/mf, float64(s2)/mf
+	y := cen[c*S:][:L]
+	var dev, dev1, dev2 float64
+	for t := 0; t < m; t++ {
+		x := float64(blk[t*B+c])
+		d, g := x-mu, x-mu1
+		dev += d * d
+		dev1 += g * g
+		y[t] = d
+	}
+	if hi > m {
+		d := float64(blk[m*B+c]) - mu
+		dev += d * d
+		y[m] = d
+	}
+	for t := hi; t < L; t++ {
+		x := float64(blk[t*B+c])
+		d, g := x-mu, x-mu2
+		dev += d * d
+		dev2 += g * g
+		y[t] = d
+	}
+	sc.mean[c], sc.dev[c] = mu, dev
+	sc.seqMean[2*c], sc.seqVar[2*c] = mu1, dev1/(mf-1)
+	sc.seqMean[2*c+1], sc.seqVar[2*c+1] = mu2, dev2/(mf-1)
+}
+
+// vertex returns vertex v's split R̂ and ESS, both from one gather of its
+// B×L block and one chainStats pass over it. It is the one per-vertex path
+// behind SplitAt, ESSAt and the check scan.
+func (r *Rhat) vertex(sc *scratch, v int) (split, ess float64) {
+	B, L := r.b, r.rlen
+	S := L + lagPad
+	cen := sc.cen[:B*S]
+	chainStats(sc, r.gather(sc, v), B, L, cen, S)
+	return r.splitOf(sc), r.essOf(sc, cen, S)
 }
 
 // At returns the classic whole-chain Gelman–Rubin statistic of vertex v
@@ -317,10 +460,10 @@ func (r *Rhat) At(v int) (float64, error) {
 	if err := r.needObs(); err != nil {
 		return 0, err
 	}
-	return r.at(nil, v), nil
+	return r.at(v), nil
 }
 
-func (r *Rhat) at(_ *scratch, v int) float64 {
+func (r *Rhat) at(v int) float64 {
 	B := r.b
 	T := float64(r.count)
 	means := r.mean[v*B : (v+1)*B]
@@ -359,24 +502,17 @@ func (r *Rhat) SplitAt(v int) (float64, error) {
 	if err := r.needRetained("split R̂"); err != nil {
 		return 0, err
 	}
-	return r.split(r.scratchFor(0), v), nil
+	split, _ := r.vertex(r.scratchFor(0), v)
+	return split, nil
 }
 
-func (r *Rhat) split(sc *scratch, v int) float64 {
-	B, L := r.b, r.rlen
-	blk := r.gather(sc, v)
-	m := L / 2
-	mf := float64(m)
-	nseq := 2 * B
+// splitOf returns the split R̂ of the block chainStats last summarized
+// into sc.
+func (r *Rhat) splitOf(sc *scratch) float64 {
+	mf := float64(r.rlen / 2)
+	nseq := 2 * r.b
 	// Sequence 2c+h is chain c's first (h = 0) or last (h = 1) m retained
 	// observations.
-	for h, lo := range [2]int{0, L - m} {
-		moments(blk[lo*B:(lo+m)*B], B, sc.sums, sc.mean, sc.dev, nil, 0)
-		for c := 0; c < B; c++ {
-			sc.seqMean[2*c+h] = sc.mean[c]
-			sc.seqVar[2*c+h] = sc.dev[c] / (mf - 1)
-		}
-	}
 	grand := 0.0
 	for _, mean := range sc.seqMean[:nseq] {
 		grand += mean
@@ -415,16 +551,16 @@ func (r *Rhat) ESSAt(v int) (float64, error) {
 	if err := r.needRetained("ESS"); err != nil {
 		return 0, err
 	}
-	return r.ess(r.scratchFor(0), v), nil
+	_, ess := r.vertex(r.scratchFor(0), v)
+	return ess, nil
 }
 
-func (r *Rhat) ess(sc *scratch, v int) float64 {
+// essOf returns the ESS of the block chainStats last summarized into sc,
+// whose centred series lie in cen with stride S.
+func (r *Rhat) essOf(sc *scratch, cen []float64, S int) float64 {
 	B, L := r.b, r.rlen
 	Lf := float64(L)
-	S := L + lagPad
 	total := float64(B) * float64(r.count)
-	cen := sc.cen[:B*S]
-	moments(r.gather(sc, v), B, sc.sums, sc.mean, sc.dev, cen, S)
 	means := sc.mean[:B]
 	grand, W := 0.0, 0.0
 	for c := 0; c < B; c++ {
@@ -508,9 +644,13 @@ func (r *Rhat) Worst() (v int, rhat float64, err error) {
 	if err := r.needObs(); err != nil {
 		return 0, 0, err
 	}
-	v, rhat = r.scan((*Rhat).at, true)
-	return v, rhat, nil
+	best := r.scan((*Rhat).classic).max
+	return best.v, best.x, nil
 }
+
+// classic is At's statistic in scan's form; its NaN second value never
+// wins.
+func (r *Rhat) classic(_ *scratch, v int) (float64, float64) { return r.at(v), math.NaN() }
 
 // WorstSplit returns the vertex with the largest split R̂ and its value —
 // the headline convergence number of the adaptive driver (all chains
@@ -522,8 +662,8 @@ func (r *Rhat) WorstSplit() (v int, rhat float64, err error) {
 	if err := r.needRetained("split R̂"); err != nil {
 		return 0, 0, err
 	}
-	v, rhat = r.scan((*Rhat).split, true)
-	return v, rhat, nil
+	best := r.check().max
+	return best.v, best.x, nil
 }
 
 // MinESS returns the vertex with the smallest effective sample size and
@@ -536,38 +676,59 @@ func (r *Rhat) MinESS() (v int, ess float64, err error) {
 	if err := r.needRetained("ESS"); err != nil {
 		return 0, 0, err
 	}
-	v, ess = r.scan((*Rhat).ess, false)
-	return v, ess, nil
+	best := r.check().min
+	return best.v, best.x, nil
 }
 
-// scan evaluates stat at every vertex and returns the first vertex whose
-// value strictly beats every earlier one (the largest when largest is set,
-// else the smallest) with that value — a serial scan's answer; NaN values
-// never win, and a scan where nothing wins reports vertex −1. The vertices
-// are split into min(GOMAXPROCS, n) contiguous blocks scanned
-// concurrently, each with its own scratch. Every block reports its own
-// first winner, and merging those in vertex order with the same strict
-// comparison picks the first block holding the overall winner, so the
-// result is exactly the serial one whatever the block count.
-func (r *Rhat) scan(stat func(*Rhat, *scratch, int) float64, largest bool) (int, float64) {
+// check returns the winners of the fused scan — the largest split R̂ and
+// the smallest ESS — over the current observations. Only the first call
+// after an Observe scans; later ones return the kept winners.
+func (r *Rhat) check() extremes {
+	if !r.checked {
+		r.best = r.scan((*Rhat).vertex)
+		r.checked = true
+	}
+	return r.best
+}
+
+// dropCheck forgets the kept check winners. Observe calls it, since every
+// observation changes them.
+func (r *Rhat) dropCheck() { r.checked = false }
+
+// extremes is a scan's answer: the vertex with the largest first statistic
+// and the vertex with the smallest second one, each with its value.
+type extremes struct{ max, min pick }
+
+// scan evaluates stat at every vertex and returns, for each of its two
+// values, the first vertex whose value strictly beats every earlier one
+// (the largest first value, the smallest second value) with that value —
+// a serial scan's answer; NaN values never win, and a statistic where
+// nothing wins reports vertex −1. The vertices are split into
+// min(GOMAXPROCS, n) contiguous blocks scanned concurrently, each with its
+// own scratch. Every block reports its own first winners, and merging
+// those in vertex order with the same strict comparisons picks the first
+// block holding each overall winner, so the result is exactly the serial
+// one whatever the block count.
+func (r *Rhat) scan(stat func(*Rhat, *scratch, int) (float64, float64)) extremes {
 	w := min(runtime.GOMAXPROCS(0), r.n)
 	r.scratchFor(w - 1)
 	if len(r.picks) < w {
-		r.picks = make([]pick, w)
+		r.picks = make([]extremes, w)
 	}
 	picks := r.picks[:w]
 	block := func(i int) {
 		sc := &r.scr[i]
-		best := pick{-1, math.Inf(-1)}
-		if !largest {
-			best.x = math.Inf(1)
-		}
+		e := extremes{pick{-1, math.Inf(-1)}, pick{-1, math.Inf(1)}}
 		for v := i * r.n / w; v < (i+1)*r.n/w; v++ {
-			if x := stat(r, sc, v); beats(x, best.x, largest) {
-				best = pick{v, x}
+			hi, lo := stat(r, sc, v)
+			if hi > e.max.x {
+				e.max = pick{v, hi}
+			}
+			if lo < e.min.x {
+				e.min = pick{v, lo}
 			}
 		}
-		picks[i] = best
+		picks[i] = e
 	}
 	var wg sync.WaitGroup
 	for i := 1; i < w; i++ {
@@ -581,16 +742,12 @@ func (r *Rhat) scan(stat func(*Rhat, *scratch, int) float64, largest bool) (int,
 	wg.Wait()
 	best := picks[0]
 	for _, p := range picks[1:] {
-		if beats(p.x, best.x, largest) {
-			best = p
+		if p.max.x > best.max.x {
+			best.max = p.max
+		}
+		if p.min.x < best.min.x {
+			best.min = p.min
 		}
 	}
-	return best.v, best.x
-}
-
-func beats(x, best float64, largest bool) bool {
-	if largest {
-		return x > best
-	}
-	return x < best
+	return best
 }

@@ -212,15 +212,19 @@ func sameStat(t *testing.T, what string, got, want float64, gerr, werr error) {
 // requires every statistic, vertex and error to agree bit for bit after
 // every observation — so both parities of the retained length, every
 // thinning step (capacity 8 thins three times in 45 observations) and the
-// scans at several block counts are covered. Past one vertex, vertex 0 is
-// pinned (ESS is the pooled count, split R̂ exactly 1); past two, vertices
-// 1 and n−1 are frozen apart (ESS 0, split R̂ +Inf, tied across scan
-// blocks) and chain 0 of vertex 2 stays Unset; every other cell flips with
-// probability 0.3 per observation. The wide lattice draws symbols up to
-// 299, so 255 must read as a symbol there, not as the compact Unset.
+// scans at several block counts are covered. The chain counts cover a
+// pure scalar tail (2, 3), whole 4-chain blocks (16) and a block plus a
+// tail (5); on odd observations MinESS runs before WorstSplit, so the
+// shared check scan must not depend on which call runs it. Past one
+// vertex, vertex 0 is pinned (ESS is the pooled count, split R̂ exactly
+// 1); past two, vertices 1 and n−1 are frozen apart (ESS 0, split R̂ +Inf,
+// tied across scan blocks) and chain 0 of vertex 2 stays Unset; every
+// other cell flips with probability 0.3 per observation. The wide lattice
+// draws symbols up to 299, so 255 must read as a symbol there, not as the
+// compact Unset.
 func TestRhatMatchesOracle(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, B := range []int{2, 3, 16} {
+	for _, B := range []int{2, 3, 5, 16} {
 		for _, n := range []int{1, 2, 37} {
 			for _, wide := range []bool{false, true} {
 				for _, retain := range []int{8, DefaultRetain} {
@@ -308,6 +312,9 @@ func checkAgainstOracle(t *testing.T, B, n int, wide bool, retain int) {
 			{"WorstSplit", got.WorstSplit, want.WorstSplit},
 			{"MinESS", got.MinESS, want.MinESS},
 		}
+		if i%2 == 1 {
+			scans[1], scans[2] = scans[2], scans[1]
+		}
 		for _, s := range scans {
 			gv, gx, gerr := s.got()
 			wv, wx, werr := s.want()
@@ -320,21 +327,77 @@ func checkAgainstOracle(t *testing.T, B, n int, wide bool, retain int) {
 	}
 }
 
+// TestRhatCheckDroppedByObserve pins the per-observation lifetime of the
+// check's kept winners: after WorstSplit and MinESS, a changed lattice and
+// one Observe must move both answers to the oracle's new values and
+// vertices, not leave the kept ones in place.
+func TestRhatCheckDroppedByObserve(t *testing.T) {
+	const n, B, retain = 9, 5, 8
+	lat, err := state.NewCompact(n, B, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := fabricated{lat: lat}
+	got, err := NewRhatRetain(m, retain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := newOracleRhat(m, retain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := dist.NewXoshiro(17, 0)
+	observe := func() {
+		for v := 0; v < n; v++ {
+			for c := 0; c < B; c++ {
+				lat.Set(v, c, int(rng.Uint64()%3))
+			}
+		}
+		got.Observe()
+		want.Observe()
+	}
+	check := func(what string) (sv, ev int, sx, ex float64) {
+		t.Helper()
+		sv, sx, serr := got.WorstSplit()
+		wv, wx, werr := want.WorstSplit()
+		sameStat(t, what+" WorstSplit", sx, wx, serr, werr)
+		ev, ex, eerr := got.MinESS()
+		uv, ux, uerr := want.MinESS()
+		sameStat(t, what+" MinESS", ex, ux, eerr, uerr)
+		if sv != wv || ev != uv {
+			t.Fatalf("%s: vertices %d/%d, oracle %d/%d", what, sv, ev, wv, uv)
+		}
+		return sv, ev, sx, ex
+	}
+	for i := 0; i < 6; i++ {
+		observe()
+	}
+	sv, ev, sx, ex := check("before")
+	observe()
+	sv2, ev2, sx2, ex2 := check("after")
+	if sx2 == sx || ex2 == ex {
+		t.Fatalf("the new observation left split R̂ %v → %v (vertex %d → %d) or ESS %v → %v (vertex %d → %d) unchanged; pick a history that moves both",
+			sx, sx2, sv, sv2, ex, ex2, ev, ev2)
+	}
+}
+
 // BenchmarkRhat measures the diagnostics layer of the adaptive driver on a
 // fixed fabricated history shaped like the repository benchmark's tree
 // workload: 4095 vertices, 16 chains, binary symbols that flip with
-// probability 0.3 per observation, 64 retained observations. observe times
-// one Observe on top of that history (including the row allocations and
-// thinning a long run amortizes); worst-split and min-ess time one full
-// WorstSplit / MinESS scan at L = 64.
+// probability 0.3 per observation. observe times one Observe on top of a
+// 64-observation history (including the row allocations and thinning a
+// long run amortizes); check/L=16 and check/L=64 time one convergence
+// check — WorstSplit and MinESS after the kept winners are dropped, so
+// every iteration runs the fused scan — at 16 and 64 retained
+// observations.
 func BenchmarkRhat(b *testing.B) {
-	const n, B, L = 4095, 16, 64
+	const n, B = 4095, 16
 	lat, err := state.NewCompact(n, B, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
 	m := fabricated{lat: lat}
-	history := func() *Rhat {
+	history := func(L int) *Rhat {
 		acc, err := NewRhat(m)
 		if err != nil {
 			b.Fatal(err)
@@ -355,31 +418,27 @@ func BenchmarkRhat(b *testing.B) {
 		return acc
 	}
 	b.Run("observe", func(b *testing.B) {
-		acc := history()
+		acc := history(64)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			acc.Observe()
 		}
 	})
-	b.Run("worst-split", func(b *testing.B) {
-		acc := history()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := acc.WorstSplit(); err != nil {
-				b.Fatal(err)
+	for _, L := range []int{16, 64} {
+		b.Run(fmt.Sprintf("check/L=%d", L), func(b *testing.B) {
+			acc := history(L)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				acc.dropCheck()
+				if _, _, err := acc.WorstSplit(); err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := acc.MinESS(); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("min-ess", func(b *testing.B) {
-		acc := history()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := acc.MinESS(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }
