@@ -199,6 +199,12 @@ func run(args []string, out *os.File) error {
 	if o.chains == 0 {
 		return fmt.Errorf("-chains 0 names no engine: 1 is the single-chain engine, B ≥ 2 the batched one")
 	}
+	if o.sweeps < 0 {
+		return fmt.Errorf("-sweeps %d is negative: the budget counts sweep-equivalents, e.g. -sweeps 64", o.sweeps)
+	}
+	if o.rounds < 0 {
+		return fmt.Errorf("-rounds %d is negative: 0 means -sweeps sweep-equivalents, e.g. -rounds 200", o.rounds)
+	}
 	if o.specPath != "" {
 		var conflict []string
 		fs.Visit(func(f *flag.Flag) {
@@ -302,7 +308,7 @@ func sample(out *os.File, o options) error {
 	if o.rhat {
 		return fmt.Errorf("-rhat needs a batched -algo (%s) and -chains ≥ 2; the -sampler path draws one exact/approximate sample — try -algo chromatic -chains 8 -rhat", strings.Join(sampler.MultiNames(), " | "))
 	}
-	if o.converge != "" || o.minESS > 0 {
+	if o.converge != "" || o.minESS != 0 {
 		return fmt.Errorf("-converge/-min-ess need a batched -algo (%s); the -sampler path draws one exact/approximate sample — try -algo chromatic -converge 'rhat<1.05'", strings.Join(sampler.MultiNames(), " | "))
 	}
 
@@ -365,6 +371,11 @@ func parseConverge(s string) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("-converge %q: threshold %q is not a number", s, rest)
 	}
+	if x == 0 {
+		// A zero Policy.Rhat means "no R̂ target", which would silently
+		// turn the criterion into a report-only run.
+		return 0, fmt.Errorf("-converge %q: threshold 0 can never be met — R̂ thresholds are ≥ 1, e.g. 'rhat<1.05'", s)
+	}
 	return x, nil
 }
 
@@ -383,7 +394,7 @@ func runAlgo(out *os.File, b *spec.Built, render func(dist.Config) string, o opt
 			return fmt.Errorf("unknown algo %q (have %s)", stages[i], strings.Join(sampler.Names(), " | "))
 		}
 	}
-	useDriver := o.converge != "" || o.minESS > 0 || o.rhat
+	useDriver := o.converge != "" || o.minESS != 0 || o.rhat
 	if len(stages) > 1 && !useDriver {
 		return fmt.Errorf("-algo escalation lists need the adaptive driver: add -converge 'rhat<1.05', -min-ess, or -rhat")
 	}
@@ -452,33 +463,11 @@ func runBatch(out *os.File, in *gibbs.Instance, render func(dist.Config) string,
 // runDriver routes the run through the adaptive controller: advance in
 // sweep-equivalents, observe the cross-chain diagnostics after every one,
 // stop at the -converge/-min-ess targets (or report-only at the budget for
-// bare -rhat), escalating down the -algo list on -min-rate collapse. The
-// sweep budget is -sweeps, or -rounds converted at the first stage's
-// sweep-equivalent rate.
+// bare -rhat), escalating down the -algo list on -min-rate collapse.
 func runDriver(out *os.File, in *gibbs.Instance, render func(dist.Config) string, stages []string, sweep int, o options) error {
-	p := adaptive.Policy{
-		Chains:     o.chains,
-		BurnIn:     o.burnin,
-		CheckEvery: 1,
-		MinESS:     o.minESS,
-	}
-	if o.converge != "" {
-		rhat, err := parseConverge(o.converge)
-		if err != nil {
-			return err
-		}
-		p.Rhat = rhat
-	}
-	p.MaxSweeps = max(o.sweeps, 1)
-	if o.rounds > 0 {
-		p.MaxSweeps = (o.rounds + sweep - 1) / sweep
-	}
-	for i, name := range stages {
-		st := adaptive.Stage{Dynamic: name}
-		if i < len(stages)-1 {
-			st.MinRate = o.minRate
-		}
-		p.Stages = append(p.Stages, st)
+	p, err := driverPolicy(o, stages, sweep)
+	if err != nil {
+		return err
 	}
 	rep, m, err := adaptive.Drive(in, o.seed, p)
 	if err != nil {
@@ -497,6 +486,37 @@ func runDriver(out *os.File, in *gibbs.Instance, render func(dist.Config) string
 	fmt.Fprintf(out, "rounds=%d chains=%d%s%s\n", m.Rounds(), m.Chains(), batchStats(m), samplerStats(m))
 	fmt.Fprintln(out, render(m.Chain(0)))
 	return nil
+}
+
+// driverPolicy translates the flags into the driver's policy, which
+// adaptive.Drive validates. The sweep budget is -sweeps, or -rounds
+// converted at the first stage's sweep-equivalent rate.
+func driverPolicy(o options, stages []string, sweep int) (adaptive.Policy, error) {
+	p := adaptive.Policy{
+		Chains:     o.chains,
+		BurnIn:     o.burnin,
+		CheckEvery: 1,
+		MinESS:     o.minESS,
+	}
+	if o.converge != "" {
+		rhat, err := parseConverge(o.converge)
+		if err != nil {
+			return p, err
+		}
+		p.Rhat = rhat
+	}
+	p.MaxSweeps = max(o.sweeps, 1)
+	if o.rounds > 0 {
+		p.MaxSweeps = (o.rounds + sweep - 1) / sweep
+	}
+	for i, name := range stages {
+		st := adaptive.Stage{Dynamic: name}
+		if i < len(stages)-1 {
+			st.MinRate = o.minRate
+		}
+		p.Stages = append(p.Stages, st)
+	}
+	return p, nil
 }
 
 // batchStats surfaces the chromatic engine's schedule width when the

@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -324,6 +325,16 @@ func TestRunAdaptiveFlags(t *testing.T) {
 		// The -sampler path has no driver.
 		{"-model", "hardcore", "-n", "10", "-sampler", "jvv", "-converge", "rhat<1.1"},
 		{"-model", "hardcore", "-n", "10", "-sampler", "jvv", "-min-ess", "10"},
+		// Non-finite or out-of-range targets are rejected, not ignored.
+		{"-model", "hardcore", "-n", "10", "-algo", "chromatic", "-chains", "4", "-converge", "rhat<NaN"},
+		{"-model", "hardcore", "-n", "10", "-algo", "chromatic", "-chains", "4", "-converge", "rhat<+Inf"},
+		{"-model", "hardcore", "-n", "10", "-algo", "chromatic", "-chains", "4", "-converge", "rhat<0"},
+		{"-model", "hardcore", "-n", "10", "-algo", "chromatic", "-min-ess", "-1"},
+		{"-model", "hardcore", "-n", "10", "-algo", "chromatic", "-min-ess", "NaN"},
+		{"-model", "hardcore", "-n", "10", "-algo", "metropolis,chromatic", "-min-rate", "NaN", "-converge", "rhat<1.1"},
+		// Negative budgets are errors, not a 1-sweep or default run.
+		{"-model", "hardcore", "-n", "10", "-algo", "chromatic", "-sweeps", "-5"},
+		{"-model", "hardcore", "-n", "10", "-algo", "chromatic", "-rounds", "-3"},
 	}
 	for _, args := range bad {
 		if err := run(args, devnull); err == nil {
@@ -423,4 +434,61 @@ func TestRunCondFlag(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "auto | on | off") {
 		t.Errorf("bad -cond mode returned %v, want the fix-up message", err)
 	}
+}
+
+// FuzzConvergePolicy feeds a -converge criterion and -min-ess / -min-rate
+// values through the flag surface into a one-sweep driver run on a
+// 4-vertex path. Every input must either return an error or run a policy
+// with finite targets — an R̂ threshold ≥ 1 whenever a criterion is given,
+// an ESS floor ≥ 0, rate floors in [0, 1] — and no input may panic.
+func FuzzConvergePolicy(f *testing.F) {
+	for _, s := range []struct {
+		crit            string
+		minESS, minRate float64
+	}{
+		{"rhat<1.05", 0, 0},
+		{"rhat<=1.2", 10, 0.5},
+		{"rhat<NaN", 0, 0},
+		{"rhat<+Inf", 0, 0},
+		{"rhat<0", 0, 0},
+		{"rhat<0.5", 0, 0},
+		{"ess>100", 0, 0},
+		{"", math.NaN(), 0},
+		{"", -1, 0},
+		{"", math.Inf(1), 0},
+		{"rhat<1.1", 0, math.NaN()},
+		{"rhat<1.1", 0, 2},
+	} {
+		f.Add(s.crit, s.minESS, s.minRate)
+	}
+	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer devnull.Close()
+	f.Fuzz(func(t *testing.T, crit string, minESS, minRate float64) {
+		num := func(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
+		stages := []string{"metropolis", "chromatic"}
+		args := []string{"-model", "hardcore", "-graph", "path", "-n", "4",
+			"-algo", strings.Join(stages, ","), "-chains", "2", "-sweeps", "1",
+			"-converge", crit, "-min-ess", num(minESS), "-min-rate", num(minRate)}
+		if err := run(args, devnull); err != nil {
+			return
+		}
+		p, err := driverPolicy(options{converge: crit, minESS: minESS, minRate: minRate, chains: 2, sweeps: 1}, stages, 1)
+		if err != nil {
+			t.Fatalf("run(%q) succeeded but its policy does not build: %v", args, err)
+		}
+		if crit != "" && !(p.Rhat >= 1 && p.Rhat <= math.MaxFloat64) {
+			t.Errorf("run(%q) succeeded with R̂ threshold %v", args, p.Rhat)
+		}
+		if !(p.MinESS >= 0 && p.MinESS <= math.MaxFloat64) {
+			t.Errorf("run(%q) succeeded with ESS floor %v", args, p.MinESS)
+		}
+		for i, st := range p.Stages {
+			if !(st.MinRate >= 0 && st.MinRate <= 1) {
+				t.Errorf("run(%q) succeeded with stage %d rate floor %v", args, i, st.MinRate)
+			}
+		}
+	})
 }

@@ -33,7 +33,7 @@ const DefaultBudget = 1 << 24
 // The assignment walk runs on a compact state.Lattice (one byte per vertex
 // for q ≤ 255) and the weight is maintained incrementally on the compiled
 // engine: assigning free vertex v multiplies the running product by
-// PartialWeightAtLattice — the factors whose last unassigned scope vertex
+// PartialWeightAtCells1 — the factors whose last unassigned scope vertex
 // is v — so each factor is accounted exactly once along a root-to-leaf path
 // and a zero delta prunes the subtree. No per-leaf full re-evaluation, no
 // allocation in the recursion.

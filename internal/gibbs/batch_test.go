@@ -1,13 +1,14 @@
 package gibbs
 
-// batch_test.go pins the lattice kernels to the dist.Config ones:
-// CondWeightsBatch over a chain-major lattice must agree exactly
-// (bit-for-bit on the table path) with CondWeights called once per chain,
-// on the dense-table and closure fallback paths and on both cell
-// representations (compact uint8 and wide int); CondWeightsLattice must do
-// the same for a single chain.
+// batch_test.go pins the lattice kernels to the dist.Config ones on the
+// dense-table and closure fallback paths and on both cell representations
+// (compact uint8 and wide int), and holds the shared fixtures of the
+// package's kernel tests: CondWeightsLattice on each chain of a packed
+// batch must agree bit-for-bit with CondWeights on that chain's
+// configuration.
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -74,34 +75,21 @@ func testBatchAgainstSingle(t *testing.T, eng *Compiled, wide bool) {
 	if lat.Compact() == wide {
 		t.Fatalf("lattice Compact() = %v with wide=%v", lat.Compact(), wide)
 	}
-	sc := NewBatchScratch(B)
-	buf := make([]float64, B*q)
 	single := make([]float64, q)
 	lsingle := make([]float64, q)
 	for v := 0; v < n; v++ {
-		for _, span := range [][2]int{{0, B}, {2, 5}, {B - 1, B}} {
-			c0, c1 := span[0], span[1]
-			got, err := eng.CondWeightsBatch(lat, v, c0, c1, buf, sc)
+		for c := 0; c < B; c++ {
+			want, err := eng.CondWeights(chains[c], v, single)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for c := c0; c < c1; c++ {
-				want, err := eng.CondWeights(chains[c], v, single)
-				if err != nil {
-					t.Fatal(err)
-				}
-				lw, err := eng.CondWeightsLattice(lat, c, v, lsingle)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for x := 0; x < q; x++ {
-					if got[(c-c0)*q+x] != want[x] {
-						t.Fatalf("v=%d chain=%d span=[%d,%d) x=%d: batch %v != single %v",
-							v, c, c0, c1, x, got[(c-c0)*q+x], want[x])
-					}
-					if lw[x] != want[x] {
-						t.Fatalf("v=%d chain=%d x=%d: lattice %v != config %v", v, c, x, lw[x], want[x])
-					}
+			lw, err := eng.CondWeightsLattice(lat, c, v, lsingle)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for x := 0; x < q; x++ {
+				if math.Float64bits(lw[x]) != math.Float64bits(want[x]) {
+					t.Fatalf("v=%d chain=%d x=%d: lattice %v != config %v", v, c, x, lw[x], want[x])
 				}
 			}
 		}
@@ -124,7 +112,7 @@ func TestCondWeightsBatchMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestLatticePartialKernels pins EvalFullLattice and PartialWeightAtLattice
+// TestLatticePartialKernels pins EvalFullLattice and PartialWeightLattice
 // to their dist.Config counterparts on partial configurations, for both
 // representations.
 func TestLatticePartialKernels(t *testing.T) {
@@ -154,11 +142,6 @@ func TestLatticePartialKernels(t *testing.T) {
 					t.Fatalf("wide=%v factor %d on %v: lattice (%v,%v) != config (%v,%v)", wide, i, cfg, lv, lok, wv, wok)
 				}
 			}
-			for v := 0; v < n; v++ {
-				if got, want := eng.PartialWeightAtLattice(lat, 0, v), eng.PartialWeightAt(cfg, v); got != want {
-					t.Fatalf("wide=%v PartialWeightAt(%d) on %v: lattice %v != config %v", wide, v, cfg, got, want)
-				}
-			}
 			if got, want := eng.PartialWeightLattice(lat, 0), eng.PartialWeight(cfg); got != want {
 				t.Fatalf("wide=%v PartialWeight on %v: lattice %v != config %v", wide, cfg, got, want)
 			}
@@ -167,7 +150,9 @@ func TestLatticePartialKernels(t *testing.T) {
 	}
 }
 
-func TestCondWeightsBatchRejectsBadInput(t *testing.T) {
+// TestCondWeightsLatticeRejectsBadInput covers the single-chain kernel's
+// per-cell checks, which the plan kernels leave to CheckAssigned.
+func TestCondWeightsLatticeRejectsBadInput(t *testing.T) {
 	eng := Compile(batchSpec(t))
 	n, q := eng.N(), eng.Q()
 	const B = 3
@@ -175,29 +160,10 @@ func TestCondWeightsBatchRejectsBadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]float64, B*q)
-	if _, err := eng.CondWeightsBatch(full, -1, 0, B, buf, nil); err == nil {
-		t.Error("negative vertex accepted")
-	}
-	if _, err := eng.CondWeightsBatch(full, 0, 2, 1, buf, nil); err == nil {
-		t.Error("empty chain range accepted")
-	}
-	short, err := state.New(n-1, B, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.CondWeightsBatch(short, 0, 0, B, buf, nil); err == nil {
-		t.Error("short lattice accepted")
-	}
-	if _, err := eng.CondWeightsBatch(full, 0, 0, B, buf[:1], nil); err == nil {
-		t.Error("short buffer accepted")
-	}
+	buf := make([]float64, q)
 	full.Set(1, 2, dist.Unset)
-	if _, err := eng.CondWeightsBatch(full, 0, 0, B, buf, nil); err == nil {
-		t.Error("unassigned neighbor accepted")
-	}
 	if _, err := eng.CondWeightsLattice(full, 2, 0, buf); err == nil {
-		t.Error("unassigned neighbor accepted by single-chain kernel")
+		t.Error("unassigned neighbor accepted")
 	}
 	if _, err := eng.CondWeightsLattice(full, B, 0, buf); err == nil {
 		t.Error("out-of-range chain accepted")

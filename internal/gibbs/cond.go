@@ -1,16 +1,16 @@
 package gibbs
 
 // cond.go: the conditional-CDF cache — per-vertex lookup tables that
-// replace the sweep-plan walk of the fused batch kernels with a single
+// replace the sweep-plan walk of the heat-bath kernels with a single
 // indexed load per chain. A vertex's heat-bath conditional depends only on
 // its neighborhood (the distinct non-v vertices across its factor scopes),
 // so when q^deg(v) is small every weight row the plan walk can ever
 // produce is enumerable up front: the cache stores one cumulative weight
 // row per big-endian mixed-radix neighborhood code, built by running the
-// existing planWeightRow per code so each row's partial sums are
+// plan's subsetWeightRow per code so each row's partial sums are
 // bit-identical (math.Float64bits) to the accumulation the plan path
 // performs at draw time. The hot loop for a cached vertex is: gather the
-// neighbor cells of the chain block into codes (one multiply-accumulate
+// neighbor cells of the listed chains into codes (one multiply-accumulate
 // per (neighbor, chain), a shift-or at q = 2), index the CDF row, and do
 // one branchless threshold draw per chain — no factor walk, no per-draw
 // validation, no weight buffer.
@@ -178,11 +178,12 @@ func (cc *CondCache) at(v int) *condVertex {
 }
 
 // buildCond enumerates the eligible vertices' conditionals through the
-// sweep plan. Each code's row is produced by planWeightRow on a synthetic
-// single-chain cell array holding the decoded neighborhood — the exact
-// generic body both lattice widths run, so the stored partial sums match
-// the plan path's draw-time accumulation bitwise on compact and wide
-// lattices alike.
+// sweep plan. Each code's row is produced by subsetWeightRow on the
+// one-chain list {0} over a synthetic single-chain cell array holding the
+// decoded neighborhood — the generic body of the sampling kernels, whose
+// register paths multiply in the same order — so the stored partial sums
+// match the plan path's draw-time accumulation bitwise on compact and
+// wide lattices alike.
 func buildCond(c *Compiled, mode CondMode) *CondCache {
 	cc := &CondCache{q: c.q, verts: make([]condVertex, c.n)}
 	if c.q < 1 || c.q > condBad {
@@ -194,6 +195,7 @@ func buildCond(c *Compiled, mode CondMode) *CondCache {
 	cells := make([]uint8, c.n)
 	w := make([]float64, c.q)
 	sc := NewBatchScratch(1)
+	one := []int32{0}
 	for v := 0; v < c.n; v++ {
 		vp := &p.verts[v]
 		nbrs := condNeighbors(vp, v)
@@ -216,7 +218,7 @@ func buildCond(c *Compiled, mode CondMode) *CondCache {
 				cells[nbrs[j]] = uint8(rem % c.q)
 				rem /= c.q
 			}
-			planWeightRow(c.q, vp, cells, 1, 0, 1, w, sc)
+			subsetWeightRow(c.q, vp, cells, 1, one, w, sc)
 			row := cv.rows[code*c.q : (code+1)*c.q]
 			acc := 0.0
 			last := -1
@@ -274,104 +276,59 @@ func condNeighbors(vp *vertexPlan, v int) []int32 {
 	return nbrs
 }
 
-// condGatherDense fills codes[0:c1−c0] with the neighborhood codes of the
-// dense chain block: big-endian mixed-radix accumulation, neighbor-outer
-// over contiguous cell rows, strength-reduced to a shift-or at q = 2 and a
-// constant-multiply at q = 3.
-func condGatherDense[T state.Cells](q int, nbrs []int32, cells []T, B, c0, c1 int, codes []int32) {
-	for i := range codes {
-		codes[i] = 0
-	}
-	switch q {
-	case 2:
-		for _, u := range nbrs {
-			nrow := cells[int(u)*B+c0 : int(u)*B+c1]
-			for i, x := range nrow {
-				codes[i] = codes[i]<<1 | int32(x)
-			}
-		}
-	case 3:
-		for _, u := range nbrs {
-			nrow := cells[int(u)*B+c0 : int(u)*B+c1]
-			for i, x := range nrow {
-				codes[i] = codes[i]*3 + int32(x)
-			}
-		}
-	default:
-		q32 := int32(q)
-		for _, u := range nbrs {
-			nrow := cells[int(u)*B+c0 : int(u)*B+c1]
-			for i, x := range nrow {
-				codes[i] = codes[i]*q32 + int32(x)
-			}
-		}
-	}
-}
-
-// condGatherSubset is condGatherDense over an explicit chain-index list.
+// condGatherSubset fills codes[0:len(chains)] with the neighborhood codes
+// of the listed chains: big-endian mixed-radix accumulation, neighbor-outer
+// over each neighbor's B-cell row, strength-reduced to a shift-or at q = 2
+// and a constant-multiply at q = 3.
 func condGatherSubset[T state.Cells](q int, nbrs []int32, cells []T, B int, chains []int32, codes []int32) {
+	// Equal lengths let the compiler drop the codes[i] bounds checks.
+	codes = codes[:len(chains)]
 	for i := range codes {
 		codes[i] = 0
 	}
 	switch q {
 	case 2:
 		for _, u := range nbrs {
-			ubase := int(u) * B
+			row := cells[int(u)*B : int(u)*B+B]
 			for i, ch := range chains {
-				codes[i] = codes[i]<<1 | int32(cells[ubase+int(ch)])
+				codes[i] = codes[i]<<1 | int32(row[ch])
 			}
 		}
 	case 3:
 		for _, u := range nbrs {
-			ubase := int(u) * B
+			row := cells[int(u)*B : int(u)*B+B]
 			for i, ch := range chains {
-				codes[i] = codes[i]*3 + int32(cells[ubase+int(ch)])
+				codes[i] = codes[i]*3 + int32(row[ch])
 			}
 		}
 	default:
 		q32 := int32(q)
 		for _, u := range nbrs {
-			ubase := int(u) * B
+			row := cells[int(u)*B : int(u)*B+B]
 			for i, ch := range chains {
-				codes[i] = codes[i]*q32 + int32(cells[ubase+int(ch)])
+				codes[i] = codes[i]*q32 + int32(row[ch])
 			}
 		}
 	}
 }
 
-// condSampleDense is the cached twin of sampleVertexCells: codes for the
-// chain block (into the sc.base scratch the plan walk would otherwise
+// condSampleSubset is the cached twin of sampleSubsetCells: codes for the
+// listed chains (into the sc.base scratch the plan walk would otherwise
 // use), then one threshold draw per chain against the indexed cumulative
 // row. A bad code surfaces the plan path's exact rowError before its
 // chain's uniform is drawn.
-func condSampleDense[T state.Cells](q int, cv *condVertex, cells []T, B, v, c0, c1 int, sc *BatchScratch, rng *dist.Xoshiro) error {
-	nb := c1 - c0
-	if nb == 1 {
-		// Single-chain block (B = 1 engines, ragged tails): the code is a
-		// scalar accumulation — no scratch row, no per-neighbor slicing.
-		code := 0
-		for _, u := range cv.nbrs {
-			code = code*q + int(cells[int(u)*B+c0])
-		}
-		m := cv.meta[code]
-		row := cv.rows[code*q : (code+1)*q]
-		if m == condBad {
-			return rowError(row, v, c0)
-		}
-		cells[v*B+c0] = T(CondDrawCum(row, int(m), rng.Float64()))
-		return nil
-	}
-	codes := sc.base[:nb]
-	condGatherDense(q, cv.nbrs, cells, B, c0, c1, codes)
+func condSampleSubset[T state.Cells](q int, cv *condVertex, cells []T, B, v int, chains []int32, sc *BatchScratch, rng *dist.Xoshiro) error {
+	codes := sc.base[:len(chains)]
+	condGatherSubset(q, cv.nbrs, cells, B, chains, codes)
 	rows, meta := cv.rows, cv.meta
-	out := cells[v*B+c0 : v*B+c1]
+	out := cells[v*B : v*B+B]
 	switch q {
 	case 2:
-		for i := range out {
+		for i, ch := range chains {
 			code := codes[i]
 			m := meta[code]
 			if m == condBad {
-				return rowError(rows[2*code:2*code+2], v, c0+i)
+				return rowError(rows[2*code:2*code+2], v, int(ch))
 			}
 			cum0, total := rows[2*code], rows[2*code+1]
 			// Branchless select, exactly the q = 2 plan draw: the symbol is
@@ -382,73 +339,7 @@ func condSampleDense[T state.Cells](q int, cv *condVertex, cells []T, B, v, c0, 
 			if u >= cum0 {
 				ge = 1
 			}
-			out[i] = T(ge & m)
-		}
-	case 3:
-		for i := range out {
-			code := codes[i]
-			m := meta[code]
-			if m == condBad {
-				return rowError(rows[3*code:3*code+3], v, c0+i)
-			}
-			cum0, cum1, total := rows[3*code], rows[3*code+1], rows[3*code+2]
-			u := rng.Float64() * total
-			var x T
-			switch {
-			case u < cum0:
-				x = 0
-			case u < cum1:
-				x = 1
-			default:
-				x = T(m)
-			}
-			out[i] = x
-		}
-	default:
-		for i := range out {
-			code := int(codes[i])
-			m := meta[code]
-			row := rows[code*q : (code+1)*q]
-			if m == condBad {
-				return rowError(row, v, c0+i)
-			}
-			u := rng.Float64() * row[q-1]
-			x := int(m)
-			for j, cum := range row {
-				if u < cum {
-					x = j
-					break
-				}
-			}
-			out[i] = T(x)
-		}
-	}
-	return nil
-}
-
-// condSampleSubset is condSampleDense over an explicit chain-index list —
-// the cached twin of sampleSubsetCells.
-func condSampleSubset[T state.Cells](q int, cv *condVertex, cells []T, B, v int, chains []int32, sc *BatchScratch, rng *dist.Xoshiro) error {
-	nb := len(chains)
-	codes := sc.base[:nb]
-	condGatherSubset(q, cv.nbrs, cells, B, chains, codes)
-	rows, meta := cv.rows, cv.meta
-	vbase := v * B
-	switch q {
-	case 2:
-		for i, ch := range chains {
-			code := codes[i]
-			m := meta[code]
-			if m == condBad {
-				return rowError(rows[2*code:2*code+2], v, int(ch))
-			}
-			cum0, total := rows[2*code], rows[2*code+1]
-			u := rng.Float64() * total
-			var ge uint8
-			if u >= cum0 {
-				ge = 1
-			}
-			cells[vbase+int(ch)] = T(ge & m)
+			out[ch] = T(ge & m)
 		}
 	case 3:
 		for i, ch := range chains {
@@ -468,7 +359,7 @@ func condSampleSubset[T state.Cells](q int, cv *condVertex, cells []T, B, v int,
 			default:
 				x = T(m)
 			}
-			cells[vbase+int(ch)] = x
+			out[ch] = x
 		}
 	default:
 		for i, ch := range chains {
@@ -486,7 +377,7 @@ func condSampleSubset[T state.Cells](q int, cv *condVertex, cells []T, B, v int,
 					break
 				}
 			}
-			cells[vbase+int(ch)] = T(x)
+			out[ch] = T(x)
 		}
 	}
 	return nil

@@ -133,7 +133,7 @@ func TestCondSamplingMatchesPlanPath(t *testing.T) {
 								}
 							}
 							// Dense sweeps over spans including single-chain
-							// blocks (the scalar fast path).
+							// blocks.
 							for sweep := 0; sweep < 8; sweep++ {
 								for v := 0; v < n; v++ {
 									for _, span := range [][2]int{{0, B}, {2, 3}, {B - 1, B}} {

@@ -121,35 +121,13 @@ func (c *Compiled) EvalFullLattice(i int, l *state.Lattice, chain int) (val floa
 	return evalFullCells(c, i, l.RawWide(), l.Chains(), chain)
 }
 
-// EvalFullCells is EvalFullLattice on pre-dispatched raw cells (layout
-// cells[u*B+chain]) — for callers that branch on the representation once
-// per walk instead of once per factor evaluation (the exact enumerator's
-// recursion).
-func EvalFullCells[T state.Cells](c *Compiled, i int, cells []T, B, chain int) (float64, bool) {
-	return evalFullCells(c, i, cells, B, chain)
-}
-
-// PartialWeightAtCells is PartialWeightAtLattice on pre-dispatched raw
-// cells.
-func PartialWeightAtCells[T state.Cells](c *Compiled, cells []T, B, chain, v int) float64 {
-	w := 1.0
-	for _, i := range c.FactorsAt(v) {
-		val, ok := evalFullCells(c, int(i), cells, B, chain)
-		if !ok {
-			continue
-		}
-		w *= val
-		if w == 0 {
-			return 0
-		}
-	}
-	return w
-}
-
-// EvalFullCells1 and PartialWeightAtCells1 are the single-chain (B = 1)
-// variants: the cell index is the vertex itself, saving the chain-stride
-// multiply in the innermost loop — this is the exact enumerator's hot
-// call, executed once per (node, symbol) of the assignment tree.
+// EvalFullCells1 is EvalFullLattice on a pre-dispatched single-chain
+// (B = 1) cell array, for callers that branch on the representation once
+// per walk instead of once per factor evaluation: the cell index is the
+// vertex itself, saving the chain-stride multiply in the innermost loop —
+// this is the exact enumerator's hot call, executed once per (node,
+// symbol) of the assignment tree. Folding it into the strided
+// evalFullCells (B = 1, chain 0) measured slower on that walk.
 func EvalFullCells1[T state.Cells](c *Compiled, i int, cells []T) (float64, bool) {
 	return evalFullCells1(c, i, cells)
 }
@@ -179,8 +157,9 @@ func evalFullCells1[T state.Cells](c *Compiled, i int, cells []T) (float64, bool
 	return f.eval(assign), true
 }
 
-// PartialWeightAtCells1 is PartialWeightAtCells for a single-chain cell
-// array.
+// PartialWeightAtCells1 is PartialWeightAt on a single-chain cell array:
+// the product of the factors containing v whose scopes are fully
+// assigned — the incremental enumeration delta.
 func PartialWeightAtCells1[T state.Cells](c *Compiled, cells []T, v int) float64 {
 	w := 1.0
 	for _, i := range c.FactorsAt(v) {
@@ -238,16 +217,6 @@ func (c *Compiled) PartialWeightLattice(l *state.Lattice, chain int) float64 {
 		}
 	}
 	return w
-}
-
-// PartialWeightAtLattice returns the product of the factors containing v
-// whose scopes are fully assigned under chain `chain` — the incremental
-// enumeration delta of PartialWeightAt, read from the lattice.
-func (c *Compiled) PartialWeightAtLattice(l *state.Lattice, chain, v int) float64 {
-	if u8 := l.Raw8(); u8 != nil {
-		return PartialWeightAtCells(c, u8, l.Chains(), chain, v)
-	}
-	return PartialWeightAtCells(c, l.RawWide(), l.Chains(), chain, v)
 }
 
 // FilterWeightLattice is FilterWeight reading the current configuration and

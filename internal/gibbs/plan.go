@@ -1,11 +1,9 @@
 package gibbs
 
-// plan.go compiles the per-vertex factor walk of batch.go into flat sweep
-// plans and fuses heat-bath sampling into the weight computation — the
-// "run the hot loop at hardware speed" layer on top of the chain-major
-// lattice of PR 5.
+// plan.go compiles each vertex's factor walk into a flat sweep plan and
+// hosts the dense entry point of the fused heat-bath kernel.
 //
-// CondWeightsBatch interprets the factor graph on every call: it walks
+// CondWeightsLattice interprets the factor graph on every call: it walks
 // FactorsAt(v), re-derives which scope entries are v, re-reads unary
 // factors that cannot differ between chains, and validates every cell it
 // touches. A SweepPlan does that interpretation exactly once per Compiled:
@@ -16,17 +14,19 @@ package gibbs
 // factors keep a fallback entry — so the hot loop is a straight run over a
 // flat instruction stream with no dispatch and no per-cell checks. Every
 // multiplication happens in the same order as the interpreted kernel, so
-// planned weights are bit-identical to CondWeightsBatch (pinned by the
-// root-level property test across all model builders).
+// planned weights are bit-identical to CondWeightsLattice per chain
+// (pinned by the root-level property test across all model builders).
 //
-// The fused kernel SampleVertexBatch draws the heat-bath symbol in the
-// same pass that computes the weight row, through the value-type
-// dist.Xoshiro generator instead of the *rand.Rand interface, with a
-// division-free threshold draw at q = 2. Validity is the caller's
-// contract: the lattice must pass state.Lattice.CheckAssigned before a
-// stage (sampled symbols are always in range, so one preflight per Run
-// covers every subsequent stage), which is what lets the innermost loops
-// drop the per-(neighbor, chain) checks of the interpreted kernel.
+// The plan runs through one heat-bath kernel family, the chain-list
+// kernels of subset.go, which draw the symbol in the same pass that
+// computes the weight row, through the value-type dist.Xoshiro generator
+// instead of the *rand.Rand interface. SampleVertexBatch is that kernel
+// on a dense chain block [c0,c1), passed as the contiguous list c0…c1−1.
+// Validity is the caller's contract: the lattice must pass
+// state.Lattice.CheckAssigned before a stage (sampled symbols are always
+// in range, so one preflight per Run covers every subsequent stage),
+// which is what lets the innermost loops drop the per-(neighbor, chain)
+// checks of the interpreted kernel.
 
 import (
 	"fmt"
@@ -199,147 +199,6 @@ func unaryRow(f *cfactor, q int, sv int32) []float64 {
 	return row
 }
 
-// planWeightRow fills w (length (c1−c0)·q) with the conditional weight
-// rows of vertex v's plan for chains c0 ≤ c < c1 — the width-specialized
-// straight-line body shared by CondWeightsBatchPlan and the fused sampler.
-// Every cell the plan reads must hold an assigned in-range symbol
-// (state.Lattice.CheckAssigned); the only diagnostics left in here are
-// Go's bounds checks.
-func planWeightRow[T state.Cells](q int, vp *vertexPlan, cells []T, B, c0, c1 int, w []float64, sc *BatchScratch) {
-	nb := c1 - c0
-	if vp.prior == nil {
-		for i := range w {
-			w[i] = 1
-		}
-	} else {
-		for i := 0; i < nb; i++ {
-			copy(w[i*q:(i+1)*q], vp.prior)
-		}
-	}
-	q32 := int32(q)
-	for oi := range vp.ops {
-		op := &vp.ops[oi]
-		switch op.kind {
-		case opUnary:
-			urow := op.row
-			for i := 0; i < nb; i++ {
-				row := w[i*q : (i+1)*q]
-				for x := range row {
-					row[x] *= urow[x]
-				}
-			}
-		case opPair:
-			nrow := cells[int(op.u)*B+c0 : int(op.u)*B+c1]
-			table, su, sv := op.table, op.su, op.sv
-			switch q32 {
-			case 2:
-				for i, xu := range nrow {
-					bi := int32(xu) * su
-					row := w[2*i : 2*i+2 : 2*i+2]
-					row[0] *= table[bi]
-					row[1] *= table[bi+sv]
-				}
-			case 3:
-				for i, xu := range nrow {
-					bi := int32(xu) * su
-					row := w[3*i : 3*i+3 : 3*i+3]
-					row[0] *= table[bi]
-					row[1] *= table[bi+sv]
-					row[2] *= table[bi+2*sv]
-				}
-			default:
-				for i, xu := range nrow {
-					bi := int32(xu) * su
-					row := w[i*q : (i+1)*q]
-					for x := int32(0); x < q32; x++ {
-						row[x] *= table[bi+x*sv]
-					}
-				}
-			}
-		case opGeneric:
-			base := sc.base[:nb]
-			for i := range base {
-				base[i] = 0
-			}
-			for j, u := range op.scope {
-				nrow := cells[int(u)*B+c0 : int(u)*B+c1]
-				st := op.strides[j]
-				for i, x := range nrow {
-					base[i] += int32(x) * st
-				}
-			}
-			table, sv := op.table, op.sv
-			switch q32 {
-			case 2:
-				for i := 0; i < nb; i++ {
-					bi := base[i]
-					row := w[2*i : 2*i+2 : 2*i+2]
-					row[0] *= table[bi]
-					row[1] *= table[bi+sv]
-				}
-			case 3:
-				for i := 0; i < nb; i++ {
-					bi := base[i]
-					row := w[3*i : 3*i+3 : 3*i+3]
-					row[0] *= table[bi]
-					row[1] *= table[bi+sv]
-					row[2] *= table[bi+2*sv]
-				}
-			default:
-				for i := 0; i < nb; i++ {
-					bi := base[i]
-					row := w[i*q : (i+1)*q]
-					for x := int32(0); x < q32; x++ {
-						row[x] *= table[bi+x*sv]
-					}
-				}
-			}
-		case opClosure:
-			f := op.f
-			if len(sc.assign) < len(f.scope) {
-				sc.assign = make([]int, len(f.scope))
-			}
-			assign := sc.assign[:len(f.scope)]
-			for i := 0; i < nb; i++ {
-				ch := c0 + i
-				for x := 0; x < q; x++ {
-					for j, u := range f.scope {
-						if u == op.u {
-							assign[j] = x
-							continue
-						}
-						assign[j] = int(cells[int(u)*B+ch])
-					}
-					w[i*q+x] *= f.eval(assign)
-				}
-			}
-		}
-	}
-}
-
-// CondWeightsBatchPlan is CondWeightsBatch evaluated through the sweep
-// plan: identical contract, bit-identical weights, but the lattice must
-// already have passed CheckAssigned — the plan kernels do not diagnose
-// unset cells. It exists for the bit-identity property tests and for
-// callers that want weights without sampling.
-func (c *Compiled) CondWeightsBatchPlan(l *state.Lattice, v, c0, c1 int, buf []float64, sc *BatchScratch) ([]float64, error) {
-	nb, err := c.planArgs(l, v, c0, c1, len(buf))
-	if err != nil {
-		return nil, err
-	}
-	if sc == nil || len(sc.base) < nb {
-		sc = NewBatchScratch(nb)
-	}
-	w := buf[:nb*c.q]
-	vp := &c.Plan().verts[v]
-	if u8 := l.Raw8(); u8 != nil {
-		planWeightRow(c.q, vp, u8, l.Chains(), c0, c1, w, sc)
-	} else {
-		planWeightRow(c.q, vp, l.RawWide(), l.Chains(), c0, c1, w, sc)
-	}
-	return w, nil
-}
-
 // SampleVertexBatch is the fused stage kernel of the batched sampler: it
 // computes the heat-bath conditional weight rows of vertex v for chains
 // c0 ≤ c < c1 through the sweep plan and immediately draws each chain's
@@ -347,9 +206,9 @@ func (c *Compiled) CondWeightsBatchPlan(l *state.Lattice, v, c0, c1 int, buf []f
 // (c1−c0)·q entries and sc must come from NewBatchScratch; the lattice
 // must have passed CheckAssigned (the kernel writes only in-range
 // symbols, so one preflight covers any number of subsequent stages).
-// Vertices covered by the conditional-CDF cache (cond.go) skip the plan
-// walk for a per-code table lookup; weights, draws, uniforms consumed,
-// and errors are bit-identical on both paths.
+// The block runs through the subset kernel as the list c0…c1−1, so
+// weights, draws, uniforms consumed, and errors are exactly those of
+// SampleVertexSubset on that list, cached or not.
 func (c *Compiled) SampleVertexBatch(l *state.Lattice, v, c0, c1 int, buf []float64, sc *BatchScratch, rng *dist.Xoshiro) error {
 	nb, err := c.planArgs(l, v, c0, c1, len(buf))
 	if err != nil {
@@ -358,23 +217,10 @@ func (c *Compiled) SampleVertexBatch(l *state.Lattice, v, c0, c1 int, buf []floa
 	if sc == nil || len(sc.base) < nb {
 		sc = NewBatchScratch(nb)
 	}
-	if cc := c.condForSample(); cc != nil {
-		if cv := cc.at(v); cv != nil {
-			if u8 := l.Raw8(); u8 != nil {
-				return condSampleDense(c.q, cv, u8, l.Chains(), v, c0, c1, sc, rng)
-			}
-			return condSampleDense(c.q, cv, l.RawWide(), l.Chains(), v, c0, c1, sc, rng)
-		}
-	}
-	w := buf[:nb*c.q]
-	vp := &c.Plan().verts[v]
-	if u8 := l.Raw8(); u8 != nil {
-		return sampleVertexCells(c.q, vp, u8, l.Chains(), v, c0, c1, w, sc, rng)
-	}
-	return sampleVertexCells(c.q, vp, l.RawWide(), l.Chains(), v, c0, c1, w, sc, rng)
+	return c.sampleSubset(l, v, sc.span(c0, c1), buf, sc, rng)
 }
 
-// planArgs validates the shared argument contract of the plan kernels,
+// planArgs validates the argument contract of SampleVertexBatch,
 // returning the block width c1−c0.
 func (c *Compiled) planArgs(l *state.Lattice, v, c0, c1, bufLen int) (int, error) {
 	if v < 0 || v >= c.n {
@@ -391,168 +237,6 @@ func (c *Compiled) planArgs(l *state.Lattice, v, c0, c1, bufLen int) (int, error
 		return 0, fmt.Errorf("gibbs: batch buffer has %d entries, need (c1−c0)·q = %d", bufLen, nb*c.q)
 	}
 	return nb, nil
-}
-
-// sampleVertexCells is the width-specialized fused body: weight rows, then
-// one threshold draw per chain written straight into v's lattice row. The
-// draw reproduces dist.SampleWeights semantics — nonpositive entries carry
-// no mass, rounding slack falls to the last positive symbol, and bad rows
-// (negative, NaN, infinite, or zero-mass) surface as errors built in the
-// cold path.
-func sampleVertexCells[T state.Cells](q int, vp *vertexPlan, cells []T, B, v, c0, c1 int, w []float64, sc *BatchScratch, rng *dist.Xoshiro) error {
-	if vp.pairOnly {
-		switch q {
-		case 2:
-			return samplePairOnlyQ2(vp, cells, B, v, c0, c1, rng)
-		case 3:
-			return samplePairOnlyQ3(vp, cells, B, v, c0, c1, rng)
-		}
-	}
-	planWeightRow(q, vp, cells, B, c0, c1, w, sc)
-	out := cells[v*B+c0 : v*B+c1]
-	if q == 2 {
-		// Division-free threshold draw: u ~ U[0, total) lands in [0, w0)
-		// for symbol 0, exactly sampleWalk with the slack falling to the
-		// last positive symbol.
-		for i := range out {
-			w0, w1 := w[2*i], w[2*i+1]
-			total := w0 + w1
-			if !(w0 >= 0 && w1 >= 0 && total > 0 && total <= math.MaxFloat64) {
-				return rowError(w[2*i:2*i+2], v, c0+i)
-			}
-			u := rng.Float64() * total
-			x := T(0)
-			if w0 > 0 && u < w0 {
-				x = 0
-			} else if w1 > 0 {
-				x = 1
-			}
-			out[i] = x
-		}
-		return nil
-	}
-	for i := range out {
-		row := w[i*q : (i+1)*q]
-		total := 0.0
-		ok := true
-		for _, x := range row {
-			if !(x >= 0) {
-				ok = false
-				break
-			}
-			total += x
-		}
-		if !ok || !(total > 0 && total <= math.MaxFloat64) {
-			return rowError(row, v, c0+i)
-		}
-		u := rng.Float64() * total
-		acc := 0.0
-		last := -1
-		for x, wx := range row {
-			if wx <= 0 {
-				continue
-			}
-			last = x
-			acc += wx
-			if u < acc {
-				break
-			}
-		}
-		out[i] = T(last)
-	}
-	return nil
-}
-
-// samplePairOnlyQ2 is the chain-major register path at q = 2: for each
-// chain the weight pair starts at the prior, every op multiplies in
-// (prior, then ops, in factor order — the multiplication sequence of the
-// buffered path, so the weights are bit-identical; the float64 registers
-// round-trip through nothing), and the threshold draw happens in place.
-func samplePairOnlyQ2[T state.Cells](vp *vertexPlan, cells []T, B, v, c0, c1 int, rng *dist.Xoshiro) error {
-	p0, p1 := 1.0, 1.0
-	if vp.prior != nil {
-		p0, p1 = vp.prior[0], vp.prior[1]
-	}
-	ops := vp.ops
-	out := cells[v*B+c0 : v*B+c1]
-	for i := range out {
-		w0, w1 := p0, p1
-		for oi := range ops {
-			op := &ops[oi]
-			if op.kind == opPair {
-				bi := int32(cells[int(op.u)*B+c0+i]) * op.su
-				w0 *= op.table[bi]
-				w1 *= op.table[bi+op.sv]
-			} else {
-				w0 *= op.row[0]
-				w1 *= op.row[1]
-			}
-		}
-		total := w0 + w1
-		if !(w0 >= 0 && w1 >= 0 && total > 0 && total <= math.MaxFloat64) {
-			return rowError([]float64{w0, w1}, v, c0+i)
-		}
-		u := rng.Float64() * total
-		x := T(0)
-		if w0 > 0 && u < w0 {
-			x = 0
-		} else if w1 > 0 {
-			x = 1
-		}
-		out[i] = x
-	}
-	return nil
-}
-
-// samplePairOnlyQ3 is samplePairOnlyQ2 at q = 3, with the three-symbol
-// walk inlined (sampleWalk semantics: nonpositive symbols carry no mass,
-// slack falls to the last positive one).
-func samplePairOnlyQ3[T state.Cells](vp *vertexPlan, cells []T, B, v, c0, c1 int, rng *dist.Xoshiro) error {
-	p0, p1, p2 := 1.0, 1.0, 1.0
-	if vp.prior != nil {
-		p0, p1, p2 = vp.prior[0], vp.prior[1], vp.prior[2]
-	}
-	ops := vp.ops
-	out := cells[v*B+c0 : v*B+c1]
-	for i := range out {
-		w0, w1, w2 := p0, p1, p2
-		for oi := range ops {
-			op := &ops[oi]
-			if op.kind == opPair {
-				bi := int32(cells[int(op.u)*B+c0+i]) * op.su
-				w0 *= op.table[bi]
-				w1 *= op.table[bi+op.sv]
-				w2 *= op.table[bi+2*op.sv]
-			} else {
-				w0 *= op.row[0]
-				w1 *= op.row[1]
-				w2 *= op.row[2]
-			}
-		}
-		total := w0 + w1 + w2
-		if !(w0 >= 0 && w1 >= 0 && w2 >= 0 && total > 0 && total <= math.MaxFloat64) {
-			return rowError([]float64{w0, w1, w2}, v, c0+i)
-		}
-		// u ≥ 0, so u < prefix-sum subsumes the nonpositive-skip of
-		// sampleWalk (zero weights add nothing to the prefix); only the
-		// rounding-slack branch needs the last-positive rule.
-		u := rng.Float64() * total
-		var x T
-		switch {
-		case u < w0:
-			x = 0
-		case u < w0+w1:
-			x = 1
-		case w2 > 0:
-			x = 2
-		case w1 > 0:
-			x = 1
-		default:
-			x = 0
-		}
-		out[i] = x
-	}
-	return nil
 }
 
 // rowError diagnoses a bad weight row off the hot path, mirroring the

@@ -1,14 +1,16 @@
 package gibbs
 
-// plan_test.go pins the compiled sweep plans to the interpreted batch
-// kernel: CondWeightsBatchPlan must reproduce CondWeightsBatch bit-for-bit
-// on the table and closure paths and on both cell representations, the
-// fused SampleVertexBatch must draw exactly the symbols SampleWeights
-// semantics dictate for the same uniform variates, and the plan builder
-// must fold unary prefixes into priors without disturbing factor order.
+// plan_test.go pins the compiled sweep plans to the per-chain reference
+// kernel: the plan's weight rows (subsetWeightRow) must reproduce
+// CondWeightsLattice bit-for-bit on the table and closure paths and on
+// both cell representations, the fused SampleVertexBatch must draw
+// exactly the symbols SampleWeights semantics dictate for the same uniform
+// variates, and the plan builder must fold unary prefixes into priors
+// without disturbing factor order.
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/dist"
@@ -70,38 +72,46 @@ func pairSpecQ3(t *testing.T) *Spec {
 	return s
 }
 
+// testPlanAgainstBatch compares the plan's weight rows over dense spans,
+// passed to subsetWeightRow as the lists c0…c1−1, with CondWeightsLattice
+// per chain, bit-for-bit.
 func testPlanAgainstBatch(t *testing.T, eng *Compiled, wide bool) {
 	t.Helper()
 	n, q := eng.N(), eng.Q()
 	const B = 7
-	chains := randomChains(n, q, B, 23)
+	cfgs := randomChains(n, q, B, 23)
 	if wide {
 		defer state.SetCompactLimitForTest(0)()
 	}
-	lat, err := state.Pack(n, q, chains)
+	lat, err := state.Pack(n, q, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lat.Compact() == wide {
 		t.Fatalf("lattice Compact() = %v with wide=%v", lat.Compact(), wide)
 	}
+	verts := eng.Plan().verts
 	sc := NewBatchScratch(B)
-	ref := make([]float64, B*q)
 	got := make([]float64, B*q)
+	lsingle := make([]float64, q)
 	for v := 0; v < n; v++ {
 		for _, span := range [][2]int{{0, B}, {2, 5}, {B - 1, B}} {
 			c0, c1 := span[0], span[1]
-			want, err := eng.CondWeightsBatch(lat, v, c0, c1, ref, sc)
-			if err != nil {
-				t.Fatal(err)
+			w := got[:(c1-c0)*q]
+			if u8 := lat.Raw8(); u8 != nil {
+				subsetWeightRow(q, &verts[v], u8, B, sc.span(c0, c1), w, sc)
+			} else {
+				subsetWeightRow(q, &verts[v], lat.RawWide(), B, sc.span(c0, c1), w, sc)
 			}
-			w, err := eng.CondWeightsBatchPlan(lat, v, c0, c1, got, sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range want {
-				if w[i] != want[i] {
-					t.Fatalf("v=%d span=[%d,%d) entry %d: plan %v != batch %v", v, c0, c1, i, w[i], want[i])
+			for c := c0; c < c1; c++ {
+				lw, err := eng.CondWeightsLattice(lat, c, v, lsingle)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for x := 0; x < q; x++ {
+					if pw := w[(c-c0)*q+x]; math.Float64bits(pw) != math.Float64bits(lw[x]) {
+						t.Fatalf("v=%d chain=%d span=[%d,%d) x=%d: plan %v != lattice %v", v, c, c0, c1, x, pw, lw[x])
+					}
 				}
 			}
 		}
@@ -191,39 +201,17 @@ func TestSampleVertexBatchMatchesSampleWeights(t *testing.T) {
 			}
 			sc := NewBatchScratch(B)
 			buf := make([]float64, B*q)
-			ref := make([]float64, B*q)
+			ref := make([]float64, q)
 			rng := dist.NewXoshiro(5, 0)
 			for sweep := 0; sweep < 20; sweep++ {
 				for v := 0; v < n; v++ {
 					// The reference draw replays the same generator against
-					// the interpreted weights: copy the value-type RNG
-					// before the kernel consumes it.
+					// the per-chain weights: copy the value-type RNG before
+					// the kernel consumes it.
 					shadow := rng
-					w, err := eng.CondWeightsBatch(lat, v, 0, B, ref, sc)
-					if err != nil {
-						t.Fatal(err)
-					}
 					want := make([]int, B)
 					for c := 0; c < B; c++ {
-						row := w[c*q : (c+1)*q]
-						total := 0.0
-						for _, x := range row {
-							total += x
-						}
-						u := shadow.Float64() * total
-						acc := 0.0
-						pick := -1
-						for x, wx := range row {
-							if wx <= 0 {
-								continue
-							}
-							pick = x
-							acc += wx
-							if u < acc {
-								break
-							}
-						}
-						want[c] = pick
+						want[c] = refDraw(t, eng, lat, v, c, ref, &shadow)
 					}
 					if err := eng.SampleVertexBatch(lat, v, 0, B, buf, sc, &rng); err != nil {
 						t.Fatal(err)
@@ -237,6 +225,22 @@ func TestSampleVertexBatchMatchesSampleWeights(t *testing.T) {
 			}
 		})
 	}
+}
+
+// refDraw is the reference heat-bath draw: chain c's CondWeightsLattice
+// row at v (buf needs q entries), one uniform from rng, and the
+// dist.SampleWeights walk.
+func refDraw(t *testing.T, eng *Compiled, lat *state.Lattice, v, c int, buf []float64, rng *dist.Xoshiro) int {
+	t.Helper()
+	w, err := eng.CondWeightsLattice(lat, c, v, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := dist.SampleWeightsX(w, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x
 }
 
 // TestSampleVertexBatchZeroMass checks the cold error path: an all-zero
@@ -264,8 +268,7 @@ func TestSampleVertexBatchZeroMass(t *testing.T) {
 	}
 }
 
-// TestSampleVertexBatchRejectsBadInput mirrors the argument checks of the
-// interpreted kernel.
+// TestSampleVertexBatchRejectsBadInput covers the argument checks.
 func TestSampleVertexBatchRejectsBadInput(t *testing.T) {
 	eng := Compile(batchSpec(t))
 	n, q := eng.N(), eng.Q()

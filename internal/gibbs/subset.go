@@ -1,26 +1,25 @@
 package gibbs
 
-// subset.go: the masked variants of the fused sweep-plan kernels for the
-// batched LubyGlauber engine. A Luby phase selects a random independent
-// set per chain, so the set of chains in which a given vertex updates is
-// an arbitrary subset of the chain block — SampleVertexSubset is
-// SampleVertexBatch over an explicit chain-index list instead of a dense
-// [c0,c1) range. The plan walk, the multiplication order, and the draw
-// semantics are those of the dense kernel (bit-identical weights, the
-// sampleWalk draw of dist.SampleWeights), so a one-chain subset produces
-// exactly the update of the single-chain heat-bath path. The same
-// contract applies: every cell the plan reads must already hold an
-// assigned in-range symbol (state.Lattice.CheckAssigned preflight), the
-// kernel writes only in-range symbols, and all diagnostics for bad weight
-// rows are built off the hot path by rowError.
+// subset.go: the heat-bath kernel family of the sweep plan — the only
+// one. Every batched heat-bath update is a list of chains in which one
+// vertex updates: a Luby phase selects a random independent set per
+// chain, so for the batched LubyGlauber engine that list is an arbitrary
+// subset of the chain block, and for the chromatic schedule it is the
+// dense block c0…c1−1 that SampleVertexBatch passes as a contiguous list.
+// Each listed chain's weight row runs the plan's op stream in factor order
+// (bit-identical to CondWeightsLattice per chain), and the draw follows
+// dist.SampleWeights semantics, so a one-chain list produces exactly the
+// update of the single-chain heat-bath path. Every cell the plan reads
+// must already hold an assigned in-range symbol (state.Lattice.CheckAssigned
+// preflight), the kernel writes only in-range symbols, and all
+// diagnostics for bad weight rows are built off the hot path by rowError.
 //
 // FilterWeightBatch is the LocalMetropolis companion: the subset-product
 // filter weight of one acceptance factor evaluated for a dense chain
 // block in one pass, amortizing the mixed-radix base and the per-toggled-
-// vertex index deltas across the block the way CondWeightsBatch amortizes
-// the factor walk. The per-chain mask walk keeps the order and the
-// early-exit-on-zero of the single-chain filterCells body, so the weights
-// are bit-identical per chain.
+// vertex index deltas across the block. The per-chain mask walk keeps the
+// order and the early-exit-on-zero of the single-chain filterCells body,
+// so the weights are bit-identical per chain.
 
 import (
 	"fmt"
@@ -60,6 +59,14 @@ func (c *Compiled) SampleVertexSubset(l *state.Lattice, v int, chains []int32, b
 	if sc == nil || len(sc.base) < nb {
 		sc = NewBatchScratch(nb)
 	}
+	return c.sampleSubset(l, v, chains, buf, sc, rng)
+}
+
+// sampleSubset is the validated body shared by SampleVertexSubset and
+// SampleVertexBatch: the cached draw when v has a conditional-CDF table,
+// the plan walk otherwise, dispatched on the lattice's cell width.
+func (c *Compiled) sampleSubset(l *state.Lattice, v int, chains []int32, buf []float64, sc *BatchScratch, rng *dist.Xoshiro) error {
+	B := l.Chains()
 	if cc := c.condForSample(); cc != nil {
 		if cv := cc.at(v); cv != nil {
 			if u8 := l.Raw8(); u8 != nil {
@@ -68,7 +75,7 @@ func (c *Compiled) SampleVertexSubset(l *state.Lattice, v int, chains []int32, b
 			return condSampleSubset(c.q, cv, l.RawWide(), B, v, chains, sc, rng)
 		}
 	}
-	w := buf[:nb*c.q]
+	w := buf[:len(chains)*c.q]
 	vp := &c.Plan().verts[v]
 	if u8 := l.Raw8(); u8 != nil {
 		return sampleSubsetCells(c.q, vp, u8, B, v, chains, w, sc, rng)
@@ -129,10 +136,14 @@ func (c *Compiled) BindVertexSubset(l *state.Lattice) (VertexSubsetFn, error) {
 	}, nil
 }
 
-// sampleSubsetCells is the width-specialized masked fused body, the
-// subset twin of sampleVertexCells: straight-line register paths for the
-// pair-only plans at q = 2 and q = 3, the buffered plan walk plus
-// per-chain draw otherwise.
+// sampleSubsetCells is the width-specialized fused body: weight rows,
+// then one threshold draw per listed chain written straight into v's
+// lattice row — straight-line register paths for the pair-only plans at
+// q = 2 and q = 3, the buffered plan walk plus per-chain draw otherwise.
+// The draw reproduces dist.SampleWeights semantics: nonpositive entries
+// carry no mass, rounding slack falls to the last positive symbol, and
+// bad rows (negative, NaN, infinite, or zero-mass) surface as errors
+// built in the cold path.
 func sampleSubsetCells[T state.Cells](q int, vp *vertexPlan, cells []T, B, v int, chains []int32, w []float64, sc *BatchScratch, rng *dist.Xoshiro) error {
 	if vp.pairOnly {
 		switch q {
@@ -199,9 +210,14 @@ func sampleSubsetCells[T state.Cells](q int, vp *vertexPlan, cells []T, B, v int
 	return nil
 }
 
-// subsetWeightRow is planWeightRow over an explicit chain-index list: the
-// same op stream and multiplication order, with every per-chain access an
-// indexed gather cells[u·B + chains[i]] instead of a contiguous slice.
+// subsetWeightRow fills w (length len(chains)·q) with the conditional
+// weight rows of vertex v's plan for the listed chains: each row starts at
+// the prior (all-ones when nil) and every op multiplies in, in factor
+// order, reading neighbor cells by the indexed gather cells[u·B +
+// chains[i]]. It is the generic body behind the sampling kernels and the
+// conditional-CDF cache build. Every cell the plan reads must hold an
+// assigned in-range symbol (state.Lattice.CheckAssigned); the only
+// diagnostics left in here are Go's bounds checks.
 func subsetWeightRow[T state.Cells](q int, vp *vertexPlan, cells []T, B int, chains []int32, w []float64, sc *BatchScratch) {
 	nb := len(chains)
 	if vp.prior == nil {
@@ -313,12 +329,13 @@ func subsetWeightRow[T state.Cells](q int, vp *vertexPlan, cells []T, B int, cha
 	}
 }
 
-// subsetPairOnlyQ2 is samplePairOnlyQ2 over a chain-index list. The walk
-// runs ops-outer over the subset — op fields decoded once, the per-chain
-// four-deep dependent multiply chains of the register version pipelined
-// across chains in the two buffer columns — but each chain still sees
-// prior then ops in factor order (bit-identical weights), and the
-// threshold draws still consume one uniform per chain in list order.
+// subsetPairOnlyQ2 is the register path for pair-only plans at q = 2.
+// The walk runs ops-outer over the list — op fields decoded once, the
+// per-chain dependent multiply chains pipelined across chains in the two
+// buffer columns — but each chain still sees prior then ops in factor
+// order (the multiplication sequence of subsetWeightRow, so the weights
+// are bit-identical), and the threshold draws consume one uniform per
+// chain in list order.
 func subsetPairOnlyQ2[T state.Cells](vp *vertexPlan, cells []T, B, v int, chains []int32, buf []float64, rng *dist.Xoshiro) error {
 	p0, p1 := 1.0, 1.0
 	if vp.prior != nil {
@@ -385,7 +402,11 @@ func subsetPairOnlyQ2[T state.Cells](vp *vertexPlan, cells []T, B, v int, chains
 	return nil
 }
 
-// subsetPairOnlyQ3 is samplePairOnlyQ3 over a chain-index list.
+// subsetPairOnlyQ3 is the register path for pair-only plans at q = 3:
+// per chain the three weights start at the prior and every op multiplies
+// in, in factor order, held in registers, and the three-symbol walk is
+// inlined (nonpositive symbols carry no mass, slack falls to the last
+// positive one).
 func subsetPairOnlyQ3[T state.Cells](vp *vertexPlan, cells []T, B, v int, chains []int32, rng *dist.Xoshiro) error {
 	p0, p1, p2 := 1.0, 1.0, 1.0
 	if vp.prior != nil {
@@ -413,6 +434,9 @@ func subsetPairOnlyQ3[T state.Cells](vp *vertexPlan, cells []T, B, v int, chains
 		if !(w0 >= 0 && w1 >= 0 && w2 >= 0 && total > 0 && total <= math.MaxFloat64) {
 			return rowError([]float64{w0, w1, w2}, v, c)
 		}
+		// u ≥ 0, so u < prefix-sum subsumes the nonpositive-skip of
+		// sampleWalk (zero weights add nothing to the prefix); only the
+		// rounding-slack branch needs the last-positive rule.
 		u := rng.Float64() * total
 		var x T
 		switch {

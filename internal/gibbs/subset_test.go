@@ -2,9 +2,9 @@ package gibbs
 
 // subset_test.go pins the masked kernels to their per-chain references:
 // SampleVertexSubset must draw exactly what the reference walk over the
-// interpreted weights draws for the same uniforms, touch only the listed
-// chains, and agree bit-for-bit with the single-chain heat-bath on a
-// one-chain subset; FilterWeightBatch must reproduce FilterWeightLattice
+// per-chain CondWeightsLattice rows draws for the same uniforms, touch
+// only the listed chains, and agree bit-for-bit with the single-chain
+// heat-bath on a one-chain subset; FilterWeightBatch must reproduce FilterWeightLattice
 // per chain across arities and representations.
 
 import (
@@ -52,7 +52,7 @@ func TestSampleVertexSubsetMatchesReference(t *testing.T) {
 					}
 					sc := NewBatchScratch(B)
 					buf := make([]float64, B*q)
-					ref := make([]float64, B*q)
+					ref := make([]float64, q)
 					before := make([]int, B)
 					rng := dist.NewXoshiro(11, 0)
 					for sweep := 0; sweep < 8; sweep++ {
@@ -66,33 +66,11 @@ func TestSampleVertexSubsetMatchesReference(t *testing.T) {
 								before[c] = lat.Get(v, c)
 							}
 							// The reference draw replays the same generator
-							// against the interpreted weights.
+							// against the per-chain weights.
 							shadow := rng
-							w, err := eng.CondWeightsBatch(lat, v, 0, B, ref, sc)
-							if err != nil {
-								t.Fatal(err)
-							}
 							want := make(map[int32]int, len(sub))
 							for _, ch := range sub {
-								row := w[int(ch)*q : (int(ch)+1)*q]
-								total := 0.0
-								for _, x := range row {
-									total += x
-								}
-								u := shadow.Float64() * total
-								acc := 0.0
-								pick := -1
-								for x, wx := range row {
-									if wx <= 0 {
-										continue
-									}
-									pick = x
-									acc += wx
-									if u < acc {
-										break
-									}
-								}
-								want[ch] = pick
+								want[ch] = refDraw(t, eng, lat, v, int(ch), ref, &shadow)
 							}
 							if err := eng.SampleVertexSubset(lat, v, sub, buf, sc, &rng); err != nil {
 								t.Fatal(err)

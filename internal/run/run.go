@@ -129,7 +129,7 @@ func (p Policy) withDefaults() (Policy, error) {
 		if st.MaxSweeps < 0 {
 			return p, &PolicyError{Field: fmt.Sprintf("Stages[%d].MaxSweeps", i), Reason: "negative stage budget"}
 		}
-		if st.MinRate < 0 || st.MinRate > 1 {
+		if !(st.MinRate >= 0 && st.MinRate <= 1) {
 			return p, &PolicyError{Field: fmt.Sprintf("Stages[%d].MinRate", i), Reason: "rate floor outside [0, 1]"}
 		}
 	}
@@ -154,11 +154,17 @@ func (p Policy) withDefaults() (Policy, error) {
 	if p.CheckEvery < 0 {
 		return p, &PolicyError{Field: "CheckEvery", Reason: "negative check cadence"}
 	}
+	if math.IsNaN(p.Rhat) || math.IsInf(p.Rhat, 0) {
+		return p, &PolicyError{Field: "Rhat", Reason: "non-finite threshold"}
+	}
 	if p.Rhat < 0 {
 		return p, &PolicyError{Field: "Rhat", Reason: "negative threshold"}
 	}
 	if p.Rhat > 0 && p.Rhat < 1 {
 		return p, &PolicyError{Field: "Rhat", Reason: "R̂ thresholds below 1 are unreachable"}
+	}
+	if math.IsNaN(p.MinESS) || math.IsInf(p.MinESS, 0) {
+		return p, &PolicyError{Field: "MinESS", Reason: "non-finite target"}
 	}
 	if p.MinESS < 0 {
 		return p, &PolicyError{Field: "MinESS", Reason: "negative target"}

@@ -37,6 +37,12 @@ func TestPolicyValidation(t *testing.T) {
 		{"rhat below 1", Policy{Stages: []Stage{{Dynamic: "chromatic"}}, Rhat: 0.5}},
 		{"negative burn-in", Policy{Stages: []Stage{{Dynamic: "chromatic"}}, BurnIn: -1}},
 		{"rate above 1", Policy{Stages: []Stage{{Dynamic: "chromatic", MinRate: 1.5}, {Dynamic: "metropolis"}}}},
+		{"rate NaN", Policy{Stages: []Stage{{Dynamic: "chromatic", MinRate: math.NaN()}, {Dynamic: "metropolis"}}}},
+		{"rhat NaN", Policy{Stages: []Stage{{Dynamic: "chromatic"}}, Rhat: math.NaN()}},
+		{"rhat +Inf", Policy{Stages: []Stage{{Dynamic: "chromatic"}}, Rhat: math.Inf(1)}},
+		{"rhat -Inf", Policy{Stages: []Stage{{Dynamic: "chromatic"}}, Rhat: math.Inf(-1)}},
+		{"min-ess NaN", Policy{Stages: []Stage{{Dynamic: "chromatic"}}, MinESS: math.NaN()}},
+		{"min-ess +Inf", Policy{Stages: []Stage{{Dynamic: "chromatic"}}, MinESS: math.Inf(1)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -21,7 +21,9 @@ package sampler
 // cache at large B.
 //
 // The per-stage work runs through the fused sweep-plan kernel
-// (gibbs.Compiled.SampleVertexBatch): weights and the heat-bath draw in
+// (gibbs.Compiled.SampleVertexBatch), which hands each worker's dense
+// chain block to the chain-list heat-bath kernel the batched LubyGlauber
+// engine uses for its masked updates: weights and the heat-bath draw in
 // one pass over a flat per-vertex instruction stream, a value-type
 // dist.Xoshiro stream per worker instead of *rand.Rand interface calls,
 // and lattice validity checked once per Run (state.Lattice.CheckAssigned)
