@@ -552,22 +552,57 @@ func batchRound(b *testing.B, s interface{ Run(int) error }, chains int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*chains), "ns/chain-round")
 }
 
+// lubyColorings are the q > 3 instances of BenchmarkBatchLubySweep: a
+// q-coloring of the n×n torus of maximum degree delta, run at each chain
+// count. q^(Δ+1) is above the conditional-CDF cap, so every update takes
+// the support-mask kernel of the sweep plan.
+var lubyColorings = []struct {
+	name        string
+	n, delta, q int
+	chains      []int
+}{
+	{name: "coloring-torus24-q14", n: 24, delta: 4, q: 14, chains: []int{1, 16}},
+}
+
 // BenchmarkBatchLubySweep measures the batched multi-chain LubyGlauber
 // engine on the 576-vertex torus: one round (one Luby phase across all B
 // chains) per iteration; B = 1 is the single-chain engine. ns/chain-round
 // must drop as B grows — the per-vertex plan walk, neighbor scan, and
-// factor-table traffic of the masked subset kernel are shared across the
-// winning chains of a vertex.
+// factor-table traffic of the subset kernel are shared across the
+// winning chains of a vertex. The hardcore cases (q = 2) run the register
+// path; the lubyColorings cases run the support-mask kernel.
 func BenchmarkBatchLubySweep(b *testing.B) {
+	lubyRounds := func(b *testing.B, rules *psample.Rules, B int) {
+		s, err := psample.NewBatchLubyGlauber(rules, B, 11)
+		if err != nil {
+			b.Fatal(err)
+		}
+		batchRound(b, s, B)
+	}
 	_, rules := benchSamplerSetup(b)
 	for _, B := range []int{1, 8, 32, 128} {
-		b.Run(fmt.Sprintf("B=%d", B), func(b *testing.B) {
-			s, err := psample.NewBatchLubyGlauber(rules, B, 11)
-			if err != nil {
-				b.Fatal(err)
-			}
-			batchRound(b, s, B)
-		})
+		b.Run(fmt.Sprintf("B=%d", B), func(b *testing.B) { lubyRounds(b, rules, B) })
+	}
+	for _, tc := range lubyColorings {
+		g := graph.Torus(tc.n, tc.n)
+		if d := g.MaxDegree(); d != tc.delta {
+			b.Fatalf("%s: torus has Δ = %d, table says %d", tc.name, d, tc.delta)
+		}
+		spec, err := model.Coloring(g, tc.q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		in, err := gibbs.NewInstance(spec, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rules, err := psample.NewRules(in)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, B := range tc.chains {
+			b.Run(fmt.Sprintf("%s/B=%d", tc.name, B), func(b *testing.B) { lubyRounds(b, rules, B) })
+		}
 	}
 }
 

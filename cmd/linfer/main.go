@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"strconv"
@@ -45,6 +46,9 @@ func run(args []string) error {
 	checkExact := fs.Bool("check", true, "compare against brute force when feasible")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if !(*delta > 0) || math.IsInf(*delta, 1) {
+		return fmt.Errorf("-delta %v is not a finite positive accuracy, e.g. -delta 0.01", *delta)
 	}
 	g, err := graph.Build(*graphName, *n)
 	if err != nil {

@@ -28,6 +28,13 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"-pin", "garbage"},
 		{"-pin", "99=1"},
 		{"-model", "hardcore", "-graph", "grid", "-n", "3", "-lambda", "100"},
+		// Non-finite or nonpositive accuracies: NaN used to pass both the
+		// oracle's guard and the "worst > δ" self-check.
+		{"-delta", "NaN"},
+		{"-delta", "+Inf"},
+		{"-delta", "-Inf"},
+		{"-delta", "0"},
+		{"-delta", "-0.01"},
 	}
 	for _, args := range bad {
 		if err := run(args); err == nil {

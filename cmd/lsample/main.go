@@ -187,7 +187,7 @@ func run(args []string, out *os.File) error {
 	fs.StringVar(&o.cpuprof, "cpuprofile", "", "write a CPU profile of the whole run to this file")
 	fs.StringVar(&o.memprof, "memprofile", "", "write a GC-settled heap profile at exit to this file")
 	fs.StringVar(&o.cond, "cond", "auto", "conditional-CDF cache: auto (greedy under the byte budget) | on (cache every eligible vertex) | off (always walk the sweep plan)")
-	fs.BoolVar(&o.verbose, "v", false, "verbose: print engine details (conditional-CDF cache coverage)")
+	fs.BoolVar(&o.verbose, "v", false, "verbose: print engine details (conditional-CDF cache and support-mask coverage)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -204,6 +204,9 @@ func run(args []string, out *os.File) error {
 	}
 	if o.rounds < 0 {
 		return fmt.Errorf("-rounds %d is negative: 0 means -sweeps sweep-equivalents, e.g. -rounds 200", o.rounds)
+	}
+	if !(o.delta > 0) || math.IsInf(o.delta, 1) {
+		return fmt.Errorf("-delta %v is not a finite positive TV error, e.g. -delta 0.01", o.delta)
 	}
 	if o.specPath != "" {
 		var conflict []string
@@ -296,6 +299,9 @@ func sample(out *os.File, o options) error {
 		} else {
 			fmt.Fprintf(out, "cond-cache: mode=%s cached=%d/%d vertices bytes=%d\n", o.cond, st.Cached, st.Total, st.Bytes)
 		}
+		// Vertices on the support-mask kernel of the sweep plan (0/1 pair
+		// tables, 4 ≤ q ≤ 64); cached vertices take the cached draw first.
+		fmt.Fprintf(out, "plan: masked=%d/%d vertices\n", eng.Plan().Masked(), eng.N())
 	}
 	rng := rand.New(rand.NewSource(o.seed))
 

@@ -51,6 +51,11 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"-model", "hardcore", "-graph", "grid", "-n", "4", "-lambda", "50"},
 		// Ising outside the uniqueness window.
 		{"-model", "ising", "-graph", "grid", "-n", "4", "-beta", "0.1"},
+		// Non-finite or nonpositive TV errors for the approximate sampler.
+		{"-sampler", "seq", "-n", "6", "-delta", "NaN"},
+		{"-sampler", "seq", "-n", "6", "-delta", "Inf"},
+		{"-sampler", "seq", "-n", "6", "-delta", "-Inf"},
+		{"-sampler", "seq", "-n", "6", "-delta", "0"},
 	}
 	for _, args := range bad {
 		if err := run(args, devnull); err == nil {
@@ -424,6 +429,15 @@ func TestRunCondFlag(t *testing.T) {
 	offVerbose := capture(append(append([]string{}, base...), "-cond", "off", "-v")...)
 	if !strings.Contains(offVerbose, "cond-cache: mode=off") {
 		t.Errorf("-cond off -v line missing:\n%s", offVerbose)
+	}
+	// Hardcore (q = 2) runs the register path, a q = 5 coloring's 0/1
+	// disequality tables put every vertex on the support-mask kernel.
+	if !strings.Contains(verbose, "\nplan: masked=0/16 vertices\n") {
+		t.Errorf("-v mask line missing or wrong for hardcore:\n%s", verbose)
+	}
+	coloring := capture("-model", "coloring", "-q", "5", "-graph", "torus", "-n", "4", "-algo", "luby", "-chains", "4", "-sweeps", "4", "-cond", "off", "-v")
+	if !strings.Contains(coloring, "\nplan: masked=16/16 vertices\n") {
+		t.Errorf("-v mask line missing or wrong for the q = 5 coloring:\n%s", coloring)
 	}
 	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
 	if err != nil {

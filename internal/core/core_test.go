@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -210,6 +211,48 @@ func TestSequentialSampleErrors(t *testing.T) {
 	}
 	if _, _, err := SequentialSample(in, &ExactOracle{}, slocal.IdentityOrder(3), 0, rng); err == nil {
 		t.Error("zero delta accepted")
+	}
+}
+
+// TestErrorBoundsRejectNonFinite pins the typed rejection of unusable
+// error bounds: NaN compares false against every guard, so a "≤ 0" check
+// alone lets it through to the oracle. A sampling δ must be finite and
+// positive; an oracle ε of 0 or less still selects the default, but NaN
+// and ±Inf are a *BoundError.
+func TestErrorBoundsRejectNonFinite(t *testing.T) {
+	g := graph.Path(3)
+	in := hardcoreInstance(t, g, 1, nil)
+	rng := rand.New(rand.NewSource(67))
+	o := &ExactOracle{}
+	isBound := func(err error) bool {
+		var be *BoundError
+		return errors.As(err, &be)
+	}
+	for _, delta := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -0.5} {
+		if _, _, err := SequentialSample(in, o, slocal.IdentityOrder(3), delta, rng); !isBound(err) {
+			t.Errorf("SequentialSample δ=%v: err = %v, want *BoundError", delta, err)
+		}
+		if _, err := SampleLOCAL(in, sawOracle(t, g, 1), delta, rng); !isBound(err) {
+			t.Errorf("SampleLOCAL δ=%v: err = %v, want *BoundError", delta, err)
+		}
+	}
+	for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := LocalJVV(in, o, JVVConfig{Eps: eps}, rng); !isBound(err) {
+			t.Errorf("LocalJVV ε=%v: err = %v, want *BoundError", eps, err)
+		}
+		if _, _, err := JVVLOCAL(in, o, JVVConfig{Eps: eps}, rng); !isBound(err) {
+			t.Errorf("JVVLOCAL ε=%v: err = %v, want *BoundError", eps, err)
+		}
+		if _, err := EstimateLogPartition(in, o, nil, eps); !isBound(err) {
+			t.Errorf("EstimateLogPartition ε=%v: err = %v, want *BoundError", eps, err)
+		}
+	}
+	// ε = 0 keeps selecting the documented default.
+	if _, err := EstimateLogPartition(in, o, nil, 0); err != nil {
+		t.Errorf("EstimateLogPartition ε=0: %v", err)
+	}
+	if _, err := LocalJVV(in, o, JVVConfig{}, rng); err != nil {
+		t.Errorf("LocalJVV default ε: %v", err)
 	}
 }
 

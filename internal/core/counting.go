@@ -43,8 +43,9 @@ func EstimateLogPartition(in *gibbs.Instance, o MultOracle, order []int, eps flo
 	if err := slocal.CheckOrder(n, order); err != nil {
 		return nil, err
 	}
-	if eps <= 0 {
-		eps = 1 / math.Pow(float64(n)+1, 3)
+	eps, err := defaultEps(eps, 1/math.Pow(float64(n)+1, 3))
+	if err != nil {
+		return nil, err
 	}
 	res := &CountResult{}
 	// Build a feasible σ ⊇ τ and accumulate the chain-rule log product on

@@ -109,9 +109,9 @@ func LocalJVV(in *gibbs.Instance, o MultOracle, cfg JVVConfig, rng *rand.Rand) (
 	if n == 0 {
 		return &JVVResult{Config: dist.Config{}, Failed: nil}, nil
 	}
-	eps := cfg.Eps
-	if eps <= 0 {
-		eps = 1 / math.Pow(float64(n), 3)
+	eps, err := defaultEps(cfg.Eps, 1/math.Pow(float64(n), 3))
+	if err != nil {
+		return nil, err
 	}
 	mode := cfg.BallCompletion
 	if mode == 0 {
@@ -376,9 +376,9 @@ func JVVLOCAL(in *gibbs.Instance, o MultOracle, cfg JVVConfig, rng *rand.Rand) (
 	if n == 0 {
 		return &JVVResult{}, 0, nil
 	}
-	eps := cfg.Eps
-	if eps <= 0 {
-		eps = 1 / math.Pow(float64(n), 3)
+	eps, err := defaultEps(cfg.Eps, 1/math.Pow(float64(n), 3))
+	if err != nil {
+		return nil, 0, err
 	}
 	probeV := 0
 	if free := in.FreeVertices(); len(free) > 0 {

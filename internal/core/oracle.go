@@ -13,6 +13,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/decay"
 	"repro/internal/dist"
@@ -38,6 +39,39 @@ type MultOracle interface {
 
 // ErrNoOracle indicates a reduction invoked without the oracle it requires.
 var ErrNoOracle = errors.New("core: missing inference oracle")
+
+// BoundError reports an unusable error bound: a sampling δ that is not a
+// finite positive number, or an oracle ε that is NaN or infinite. Such a
+// bound would otherwise pass the "≤ 0" guards (every comparison with NaN
+// is false) and reach the oracle as a meaningless accuracy target.
+type BoundError struct {
+	Name  string
+	Value float64
+}
+
+func (e *BoundError) Error() string {
+	return fmt.Sprintf("core: error bound %s = %v must be a finite positive number", e.Name, e.Value)
+}
+
+// checkDelta returns a *BoundError unless delta is finite and positive.
+func checkDelta(delta float64) error {
+	if !(delta > 0) || math.IsInf(delta, 1) {
+		return &BoundError{Name: "δ", Value: delta}
+	}
+	return nil
+}
+
+// defaultEps resolves an oracle ε: a nonpositive value selects def (the
+// documented default), NaN and ±Inf are a *BoundError.
+func defaultEps(eps, def float64) (float64, error) {
+	if math.IsNaN(eps) || math.IsInf(eps, 0) {
+		return 0, &BoundError{Name: "ε", Value: eps}
+	}
+	if eps <= 0 {
+		return def, nil
+	}
+	return eps, nil
+}
 
 // DepthEstimator is a truncated computation-tree marginal estimator (the
 // shape shared by the Weitz SAW tree, the BGKNT matching recursion and the

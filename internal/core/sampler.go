@@ -51,8 +51,8 @@ func SequentialSample(in *gibbs.Instance, o Oracle, order []int, delta float64, 
 	if err := slocal.CheckOrder(n, order); err != nil {
 		return nil, 0, err
 	}
-	if delta <= 0 {
-		return nil, 0, fmt.Errorf("core: sampling error bound must be positive, got %v", delta)
+	if err := checkDelta(delta); err != nil {
+		return nil, 0, err
 	}
 	perVertex := delta / float64(n)
 	cur := in
@@ -130,6 +130,9 @@ func (a *seqSamplerSLOCAL) Process(_ int, c *slocal.Ctx) error {
 func SampleLOCAL(in *gibbs.Instance, o Oracle, delta float64, rng *rand.Rand) (*SampleResult, error) {
 	if o == nil {
 		return nil, ErrNoOracle
+	}
+	if err := checkDelta(delta); err != nil {
+		return nil, err
 	}
 	n := in.N()
 	// Probe the oracle radius at the accuracy the scan will use.

@@ -469,8 +469,10 @@ func TestDepthForError(t *testing.T) {
 	if _, err := DepthForError(1.0, 0.1, 10); err == nil {
 		t.Error("non-contracting rate accepted")
 	}
-	if _, err := DepthForError(0.5, 0, 10); err == nil {
-		t.Error("zero error accepted")
+	for _, delta := range []float64{0, -0.1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := DepthForError(0.5, delta, 10); err == nil {
+			t.Errorf("error bound %v accepted", delta)
+		}
 	}
 	if d, err := DepthForError(0, 0.1, 10); err != nil || d != 1 {
 		t.Errorf("zero rate should give depth 1: %d %v", d, err)

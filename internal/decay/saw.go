@@ -155,8 +155,8 @@ func DepthForError(alpha, delta float64, n int) (int, error) {
 	if alpha >= 1 || alpha < 0 {
 		return 0, fmt.Errorf("decay: rate %v does not certify decay", alpha)
 	}
-	if delta <= 0 {
-		return 0, errors.New("decay: error bound must be positive")
+	if !(delta > 0) || math.IsInf(delta, 1) {
+		return 0, fmt.Errorf("decay: error bound %v must be a finite positive number", delta)
 	}
 	if alpha == 0 {
 		return 1, nil

@@ -27,10 +27,21 @@ package gibbs
 // in range, so one preflight per Run covers every subsequent stage),
 // which is what lets the innermost loops drop the per-(neighbor, chain)
 // checks of the interpreted kernel.
+//
+// Hard-constraint vertices are also lowered to support masks. At 4 ≤ q ≤
+// 64, a vertex whose ops are all pair gathers over tables holding only
+// exact 0s and 1s, and whose prior is finite and ≥ 0, is marked masked:
+// each distinct (table, su, sv) becomes q uint64 masks in one plan-level
+// pool (mask y has bit x set iff table[y·su + x·sv] is 1), and each op
+// names its set by a uint16 in planOp's padding. Deduplicating matters:
+// the coloring's one shared disequality table costs 2·q masks in all, so
+// the plan's footprint and build time barely move. The kernel side, and
+// why it is bit-identical to the row walk, is in subset.go.
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/dist"
 	"repro/internal/state"
@@ -58,6 +69,10 @@ const (
 // by kind; slices alias the Compiled engine and are never written.
 type planOp struct {
 	kind planOpKind
+	// mset indexes the op's support-mask set in SweepPlan.masks (opPair
+	// of a masked plan): the set's q masks start at masks[mset·q]. It sits
+	// in the padding after kind, so masking costs planOp no bytes.
+	mset uint16
 	// u is the neighbor vertex (opPair) or the plan's own vertex
 	// (opClosure, where the scope needs the candidate symbol substituted).
 	u int32
@@ -85,10 +100,16 @@ type planOp struct {
 // unary row — the all-pairwise case (hardcore, Ising, colorings) — which
 // the fused sampler runs chain-major with the weights held in registers
 // instead of round-tripping through the weight buffer.
+//
+// masked marks plans the mask kernel of subset.go runs: 4 ≤ q ≤ 64, every
+// op a pair gather whose table holds only exact 0s and 1s, and every prior
+// entry finite and ≥ 0. A trailing unary op keeps the vertex on the row
+// walk.
 type vertexPlan struct {
 	prior    []float64
 	ops      []planOp
 	pairOnly bool
+	masked   bool
 }
 
 // SweepPlan holds one vertexPlan per vertex of a Compiled engine. It is
@@ -96,7 +117,18 @@ type vertexPlan struct {
 type SweepPlan struct {
 	q     int
 	verts []vertexPlan
+	// masks is the plan-level pool of support-mask sets, deduplicated by
+	// (table, su, sv): set k holds q masks, masks[k·q+y] having bit x set
+	// exactly when table[y·su + x·sv] is 1. The coloring's one shared
+	// disequality table yields two sets (v first or second in the scope)
+	// however many vertices read it.
+	masks  []uint64
+	masked int
 }
+
+// Masked reports how many vertices the plan serves on the mask kernel.
+// Vertices the conditional-CDF cache covers take the cached draw first.
+func (p *SweepPlan) Masked() int { return p.masked }
 
 // Plan returns the engine's sweep plan, building it on first call.
 func (c *Compiled) Plan() *SweepPlan {
@@ -107,14 +139,24 @@ func (c *Compiled) Plan() *SweepPlan {
 // buildPlan lowers every vertex's factor list into a vertexPlan.
 func buildPlan(c *Compiled) *SweepPlan {
 	p := &SweepPlan{q: c.q, verts: make([]vertexPlan, c.n)}
+	var sets map[maskKey]int32
+	if c.q >= 4 && c.q <= 64 {
+		sets = make(map[maskKey]int32)
+	}
+	// One slab holds every vertex's ops (at most one per incident factor,
+	// so it never regrows) and the scope scratch is reused across factors:
+	// a plan costs a few allocations, not a dozen per vertex.
+	slab := make([]planOp, 0, len(c.idx))
+	var others []int32  // distinct non-v scope vertices
+	var gScope []int32  // non-v occurrences, in scope order
+	var gStride []int32 // their strides
 	for v := 0; v < c.n; v++ {
 		vp := &p.verts[v]
+		start := len(slab)
 		for _, fi := range c.FactorsAt(v) {
 			f := &c.factors[fi]
 			sv := int32(0)
-			var others []int32  // distinct non-v scope vertices
-			var gScope []int32  // non-v occurrences, in scope order
-			var gStride []int32 // their strides
+			others, gScope, gStride = others[:0], gScope[:0], gStride[:0]
 			su := int32(0)
 			for j, u := range f.scope {
 				if int(u) == v {
@@ -143,7 +185,7 @@ func buildPlan(c *Compiled) *SweepPlan {
 				// the interpreted kernel produces. A unary factor appearing
 				// after a non-unary one keeps its stream position as opUnary.
 				row := unaryRow(f, c.q, sv)
-				if len(vp.ops) == 0 {
+				if len(slab) == start {
 					if vp.prior == nil {
 						vp.prior = row
 					} else {
@@ -153,21 +195,22 @@ func buildPlan(c *Compiled) *SweepPlan {
 					}
 					continue
 				}
-				vp.ops = append(vp.ops, planOp{kind: opUnary, row: row})
+				slab = append(slab, planOp{kind: opUnary, row: row})
 				continue
 			}
 			if f.table == nil {
 				// Closure ops keep the whole scope; u records v itself so
 				// the evaluation loop can substitute the candidate symbol.
-				vp.ops = append(vp.ops, planOp{kind: opClosure, f: f, u: int32(v)})
+				slab = append(slab, planOp{kind: opClosure, f: f, u: int32(v)})
 				continue
 			}
 			if len(others) == 1 {
-				vp.ops = append(vp.ops, planOp{kind: opPair, u: others[0], su: su, sv: sv, table: f.table})
+				slab = append(slab, planOp{kind: opPair, u: others[0], su: su, sv: sv, table: f.table})
 				continue
 			}
-			vp.ops = append(vp.ops, planOp{kind: opGeneric, sv: sv, table: f.table, scope: gScope, strides: gStride})
+			slab = append(slab, planOp{kind: opGeneric, sv: sv, table: f.table, scope: slices.Clone(gScope), strides: slices.Clone(gStride)})
 		}
+		vp.ops = slab[start:len(slab):len(slab)]
 		vp.pairOnly = true
 		for _, op := range vp.ops {
 			if op.kind != opPair && op.kind != opUnary {
@@ -175,8 +218,79 @@ func buildPlan(c *Compiled) *SweepPlan {
 				break
 			}
 		}
+		if sets != nil && vp.pairOnly {
+			p.maskVertex(vp, sets)
+		}
 	}
 	return p
+}
+
+// maskKey identifies one support-mask set: a pair table, by the address
+// of its first entry, read at the neighbor stride su and the vertex
+// stride sv — the same key reads the same q² entries.
+type maskKey struct {
+	t      *float64
+	su, sv int32
+}
+
+// maskVertex marks vp masked when it qualifies, pointing each op at its
+// pooled mask set. Qualifying needs every op to be an opPair whose table
+// reads as 0/1 (a trailing unary op sends the vertex to the row walk) and
+// every prior entry finite and ≥ 0: then a weight is prior[x]·1·…·1 =
+// prior[x] on the support and prior[x]·…·0·… = +0 off it, exactly.
+func (p *SweepPlan) maskVertex(vp *vertexPlan, sets map[maskKey]int32) {
+	for _, x := range vp.prior {
+		if !(x >= 0 && x <= math.MaxFloat64) {
+			return
+		}
+	}
+	for _, op := range vp.ops {
+		if op.kind != opPair {
+			return
+		}
+	}
+	for i := range vp.ops {
+		k := p.maskSet(&vp.ops[i], sets)
+		if k < 0 {
+			return
+		}
+		vp.ops[i].mset = uint16(k)
+	}
+	vp.masked = true
+	p.masked++
+}
+
+// maskSet returns the pool index of op's mask set, building it on first
+// sight of its key, or −1 when the table holds an entry other than 0 or 1
+// at a reachable index (remembered, so a soft table is scanned once) or
+// the pool is full.
+func (p *SweepPlan) maskSet(op *planOp, sets map[maskKey]int32) int32 {
+	key := maskKey{&op.table[0], op.su, op.sv}
+	if k, ok := sets[key]; ok {
+		return k
+	}
+	q := int32(p.q)
+	k := int32(len(p.masks)) / q
+	if k > math.MaxUint16 {
+		return -1
+	}
+	for y := int32(0); y < q; y++ {
+		var m uint64
+		for x := int32(0); x < q; x++ {
+			switch op.table[y*op.su+x*op.sv] {
+			case 1:
+				m |= 1 << x
+			case 0:
+			default:
+				p.masks = p.masks[:k*q]
+				sets[key] = -1
+				return -1
+			}
+		}
+		p.masks = append(p.masks, m)
+	}
+	sets[key] = k
+	return k
 }
 
 // unaryRow materializes the per-symbol row of a factor unary in its vertex

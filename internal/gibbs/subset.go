@@ -14,6 +14,16 @@ package gibbs
 // preflight), the kernel writes only in-range symbols, and all
 // diagnostics for bad weight rows are built off the hot path by rowError.
 //
+// Masked plans (0/1 pair tables, 4 ≤ q ≤ 64, see plan.go) skip the weight
+// rows: a chain's support is the AND of one mask per neighbor, and the
+// total and the threshold walk visit only its set bits, reading the prior
+// or 1. This is the row walk to the bit: for finite x ≥ 0, x·1 = x and
+// x·0 = +0 exactly, adding +0 leaves a sum unchanged, and the walk skips
+// weights ≤ 0 — so every chain draws the same symbol from the same
+// uniform. A chain with zero or overflowing mass consumes no uniform and
+// gets its row rebuilt by subsetWeightRow for rowError, after the chains
+// before it were drawn, exactly as in the row walk.
+//
 // FilterWeightBatch is the LocalMetropolis companion: the subset-product
 // filter weight of one acceptance factor evaluated for a dense chain
 // block in one pass, amortizing the mixed-radix base and the per-toggled-
@@ -24,6 +34,7 @@ package gibbs
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/dist"
 	"repro/internal/state"
@@ -76,11 +87,12 @@ func (c *Compiled) sampleSubset(l *state.Lattice, v int, chains []int32, buf []f
 		}
 	}
 	w := buf[:len(chains)*c.q]
-	vp := &c.Plan().verts[v]
+	p := c.Plan()
+	vp := &p.verts[v]
 	if u8 := l.Raw8(); u8 != nil {
-		return sampleSubsetCells(c.q, vp, u8, B, v, chains, w, sc, rng)
+		return sampleSubsetCells(c.q, vp, p.masks, u8, B, v, chains, w, sc, rng)
 	}
-	return sampleSubsetCells(c.q, vp, l.RawWide(), B, v, chains, w, sc, rng)
+	return sampleSubsetCells(c.q, vp, p.masks, l.RawWide(), B, v, chains, w, sc, rng)
 }
 
 // VertexSubsetFn is a subset kernel bound to one lattice by
@@ -104,7 +116,8 @@ func (c *Compiled) BindVertexSubset(l *state.Lattice) (VertexSubsetFn, error) {
 		return nil, fmt.Errorf("gibbs: batch lattice has %d vertices, need %d", l.N(), c.n)
 	}
 	B := l.Chains()
-	verts := c.Plan().verts
+	p := c.Plan()
+	verts, masks := p.verts, p.masks
 	q := c.q
 	// The cache gate is hoisted with the rest of the validation: the bound
 	// kernel keeps the mode it was bound with.
@@ -119,7 +132,7 @@ func (c *Compiled) BindVertexSubset(l *state.Lattice) (VertexSubsetFn, error) {
 					return condSampleSubset(q, cv, u8, B, v, chains, sc, rng)
 				}
 			}
-			return sampleSubsetCells(q, &verts[v], u8, B, v, chains, buf, sc, rng)
+			return sampleSubsetCells(q, &verts[v], masks, u8, B, v, chains, buf, sc, rng)
 		}, nil
 	}
 	wide := l.RawWide()
@@ -132,19 +145,23 @@ func (c *Compiled) BindVertexSubset(l *state.Lattice) (VertexSubsetFn, error) {
 				return condSampleSubset(q, cv, wide, B, v, chains, sc, rng)
 			}
 		}
-		return sampleSubsetCells(q, &verts[v], wide, B, v, chains, buf, sc, rng)
+		return sampleSubsetCells(q, &verts[v], masks, wide, B, v, chains, buf, sc, rng)
 	}, nil
 }
 
 // sampleSubsetCells is the width-specialized fused body: weight rows,
 // then one threshold draw per listed chain written straight into v's
 // lattice row — straight-line register paths for the pair-only plans at
-// q = 2 and q = 3, the buffered plan walk plus per-chain draw otherwise.
+// q = 2 and q = 3, the mask kernel for masked plans, the buffered plan
+// walk plus per-chain draw otherwise.
 // The draw reproduces dist.SampleWeights semantics: nonpositive entries
 // carry no mass, rounding slack falls to the last positive symbol, and
 // bad rows (negative, NaN, infinite, or zero-mass) surface as errors
 // built in the cold path.
-func sampleSubsetCells[T state.Cells](q int, vp *vertexPlan, cells []T, B, v int, chains []int32, w []float64, sc *BatchScratch, rng *dist.Xoshiro) error {
+func sampleSubsetCells[T state.Cells](q int, vp *vertexPlan, masks []uint64, cells []T, B, v int, chains []int32, w []float64, sc *BatchScratch, rng *dist.Xoshiro) error {
+	if vp.masked {
+		return subsetMasked(q, vp, masks, cells, B, v, chains, w, sc, rng)
+	}
 	if vp.pairOnly {
 		switch q {
 		case 2:
@@ -454,6 +471,71 @@ func subsetPairOnlyQ3[T state.Cells](vp *vertexPlan, cells []T, B, v int, chains
 		cells[vbase+c] = x
 	}
 	return nil
+}
+
+// subsetMasked is the mask kernel for masked plans (the file header gives
+// why it is bit-identical to the row walk): per chain, the support is the
+// AND of one pooled mask per op, indexed by the neighbor's symbol. With no
+// prior the total is the support size n (a sum of 1s, exact), and u <
+// acc = j+1 holds exactly when ⌊u⌋ ≤ j, so the draw is the ⌊u⌋-th set bit
+// (the last one on rounding slack).
+func subsetMasked[T state.Cells](q int, vp *vertexPlan, masks []uint64, cells []T, B, v int, chains []int32, w []float64, sc *BatchScratch, rng *dist.Xoshiro) error {
+	ops, prior := vp.ops, vp.prior
+	full := ^uint64(0) >> (64 - q)
+	vbase := v * B
+	for i, ch := range chains {
+		c := int(ch)
+		m := full
+		for oi := range ops {
+			op := &ops[oi]
+			m &= masks[int(op.mset)*q+int(cells[int(op.u)*B+c])]
+		}
+		x := -1
+		if prior == nil {
+			n := bits.OnesCount64(m)
+			if n == 0 {
+				return maskedRowError(q, vp, cells, B, v, chains[i:i+1], w, sc)
+			}
+			k := min(int(rng.Float64()*float64(n)), n-1)
+			for ; k > 0; k-- {
+				m &= m - 1
+			}
+			x = bits.TrailingZeros64(m)
+		} else {
+			total := 0.0
+			for t := m; t != 0; t &= t - 1 {
+				total += prior[bits.TrailingZeros64(t)]
+			}
+			if !(total > 0 && total <= math.MaxFloat64) {
+				return maskedRowError(q, vp, cells, B, v, chains[i:i+1], w, sc)
+			}
+			u := rng.Float64() * total
+			acc := 0.0
+			for t := m; t != 0; t &= t - 1 {
+				j := bits.TrailingZeros64(t)
+				wx := prior[j]
+				if wx <= 0 {
+					continue
+				}
+				x = j
+				acc += wx
+				if u < acc {
+					break
+				}
+			}
+		}
+		cells[vbase+c] = T(x)
+	}
+	return nil
+}
+
+// maskedRowError is the cold path of subsetMasked: the one-chain list
+// one's weight row rebuilt by subsetWeightRow into w and diagnosed by
+// rowError — byte-for-byte the error of the row walk.
+func maskedRowError[T state.Cells](q int, vp *vertexPlan, cells []T, B, v int, one []int32, w []float64, sc *BatchScratch) error {
+	row := w[:q]
+	subsetWeightRow(q, vp, cells, B, one, row, sc)
+	return rowError(row, v, int(one[0]))
 }
 
 // FilterWeightBatch fills out[0:c1−c0] with the LocalMetropolis filter
